@@ -22,10 +22,10 @@
 // internal/wire and the README's "Wire protocol" section) on persistent
 // multiplexed connections — the transport fast path, several times the
 // decisions/s of the JSON endpoint. HTTP stays up alongside it as the
-// control plane (sessions are created and checkpointed over JSON) and as
-// the differential-testing oracle for the binary path. The control
-// plane also runs over the binary protocol (wire control frames), so a
-// routed fleet needs no HTTP between tiers.
+// human-facing control plane; every HTTP route runs the same control
+// and decide code as the binary frames, which differ only in framing.
+// The control plane also runs over the binary protocol (wire control
+// frames), so a routed fleet needs no HTTP between tiers.
 //
 // -route turns rtmd into the stateless routing tier of a sharded fleet:
 // it owns no sessions, places every session id on one of the -replicas
@@ -33,8 +33,7 @@
 // ring, and forwards both planes over multiplexed binary connections.
 // The decide path is a zero-copy pipelined relay: observe payload bytes
 // are forwarded verbatim (only the request id is rewritten) and up to
-// -pipeline-depth batches (default 4) stay in flight per inbound
-// connection; -pipeline-depth -1 restores the legacy blocking relay.
+// four batches stay in flight per inbound connection.
 // -conns-per-replica opens N connections per replica and stripes
 // relayed batches across them. Point every replica at the same
 // -checkpoint-dir (shared storage) and sessions can hand off between
@@ -108,7 +107,6 @@ func main() {
 		route      = flag.Bool("route", false, "run as a stateless router over -replicas instead of serving sessions")
 		replicas   = flag.String("replicas", "", "comma-separated replica binary-transport addresses (with -route)")
 		connsPer   = flag.Int("conns-per-replica", 1, "binary connections the router holds per replica; batches stripe across them (with -route)")
-		pipeDepth  = flag.Int("pipeline-depth", 0, "relayed decide batches kept in flight per client connection; 0 selects the default, negative restores the legacy blocking relay (with -route)")
 		platform   = flag.String("platform", "a15", "default platform variant for new sessions")
 		periodS    = flag.Float64("period", 0.040, "default decision-epoch deadline Tref in seconds")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for session learning-state checkpoints (empty: no persistence)")
@@ -147,22 +145,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Client modes (loadgen, fleet) and this file's own progress lines
-	// still speak printf; route them through the structured logger so
-	// -log-level/-log-format govern every line the process emits.
-	logf := func(format string, args ...any) {
-		if logger.Enabled(context.Background(), slog.LevelInfo) {
-			logger.Info(fmt.Sprintf(format, args...))
-		}
-	}
-
 	tracer, err := buildTracer(*traceSample, *traceSlow, *traceBuf)
 	if err != nil {
 		fatal(err)
 	}
 
 	if *debugAddr != "" {
-		go startDebug(*debugAddr, logf)
+		go startDebug(*debugAddr, logger)
 	}
 
 	if *lgSpec != "" || *lgReplay != "" {
@@ -187,7 +176,7 @@ func main() {
 			batch:    *lgBatch,
 			pace:     *lgPace,
 			idPrefix: *lgPrefix,
-		}, logf)
+		}, logger)
 		return
 	}
 	flag.Visit(func(f *flag.Flag) {
@@ -200,7 +189,7 @@ func main() {
 		if *route {
 			fatal(errors.New("-fleet is a client mode; it cannot be combined with -route"))
 		}
-		fleetMain(*fleetAddr, *fleetSessions, *fleetFor, *fleetConns, logf)
+		fleetMain(*fleetAddr, *fleetSessions, *fleetFor, *fleetConns, logger)
 		return
 	}
 
@@ -215,7 +204,7 @@ func main() {
 				fatal(fmt.Errorf("-%s applies to replicas, not the router; set it on each replica rtmd", f.Name))
 			}
 		})
-		routeMain(*addr, *tcpAddr, *replicas, *connsPer, *pipeDepth, *drainGrace, logger, tracer, logf)
+		routeMain(*addr, *tcpAddr, *replicas, *connsPer, *drainGrace, logger, tracer)
 		return
 	}
 	if *replicas != "" {
@@ -223,7 +212,7 @@ func main() {
 	}
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "conns-per-replica", "pipeline-depth":
+		case "conns-per-replica":
 			fatal(fmt.Errorf("-%s requires -route", f.Name))
 		}
 	})
@@ -296,10 +285,10 @@ func main() {
 			// the process: HTTP keeps serving and, crucially, the final
 			// checkpoint still runs on shutdown.
 			if err := tcpSrv.Serve(); err != nil {
-				logf("rtmd: binary transport down: %v", err)
+				logger.Warn("binary transport down", "err", err)
 			}
 		}()
-		logf("rtmd: binary transport on %s", lis.Addr())
+		logger.Info("binary transport listening", "addr", lis.Addr().String())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -308,7 +297,7 @@ func main() {
 	go func() {
 		defer close(drained)
 		<-ctx.Done()
-		logf("rtmd: shutting down (draining for up to %v)", *drainGrace)
+		logger.Info("shutting down", "drain", *drainGrace)
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drainGrace)
 		defer cancel()
 		// Drain both transports in parallel within the same grace window.
@@ -317,7 +306,7 @@ func main() {
 		go func() {
 			defer wg.Done()
 			if err := hs.Shutdown(drainCtx); err != nil {
-				logf("rtmd: http drain: %v", err)
+				logger.Warn("http drain", "err", err)
 			}
 		}()
 		if tcpSrv != nil {
@@ -325,14 +314,14 @@ func main() {
 			go func() {
 				defer wg.Done()
 				if err := tcpSrv.Shutdown(drainCtx); err != nil {
-					logf("rtmd: tcp drain: %v", err)
+					logger.Warn("tcp drain", "err", err)
 				}
 			}()
 		}
 		wg.Wait()
 	}()
 
-	logf("rtmd: serving on %s (default platform %s, Tref %gs)", *addr, *platform, *periodS)
+	logger.Info("serving", "addr", *addr, "platform", *platform, "period_s", *periodS)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
@@ -348,7 +337,7 @@ func main() {
 // routeMain runs the routing tier: no sessions, no checkpoints — just
 // the ring, one multiplexed binary connection per replica, and the same
 // two listener fronts a replica has.
-func routeMain(addr, tcpAddr, replicaList string, connsPer, pipeDepth int, drainGrace time.Duration, logger *slog.Logger, tracer *trace.Tracer, logf func(string, ...any)) {
+func routeMain(addr, tcpAddr, replicaList string, connsPer int, drainGrace time.Duration, logger *slog.Logger, tracer *trace.Tracer) {
 	var addrs []string
 	for _, a := range strings.Split(replicaList, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -358,13 +347,7 @@ func routeMain(addr, tcpAddr, replicaList string, connsPer, pipeDepth int, drain
 	if len(addrs) == 0 {
 		fatal(errors.New("-route requires -replicas host1:port,host2:port,..."))
 	}
-	opt := serve.RouterOptions{Log: logger, Tracer: tracer, ConnsPerReplica: connsPer}
-	if pipeDepth < 0 {
-		opt.LegacyRelay = true
-	} else {
-		opt.PipelineDepth = pipeDepth
-	}
-	rt, err := serve.NewRouter(addrs, opt)
+	rt, err := serve.NewRouter(addrs, serve.RouterOptions{Log: logger, Tracer: tracer, ConnsPerReplica: connsPer})
 	if err != nil {
 		fatal(err)
 	}
@@ -379,10 +362,10 @@ func routeMain(addr, tcpAddr, replicaList string, connsPer, pipeDepth int, drain
 		tcpSrv = serve.NewRouterTCP(rt, lis)
 		go func() {
 			if err := tcpSrv.Serve(); err != nil {
-				logf("rtmd: routed binary transport down: %v", err)
+				logger.Warn("routed binary transport down", "err", err)
 			}
 		}()
-		logf("rtmd: routed binary transport on %s", lis.Addr())
+		logger.Info("routed binary transport listening", "addr", lis.Addr().String())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -391,7 +374,7 @@ func routeMain(addr, tcpAddr, replicaList string, connsPer, pipeDepth int, drain
 	go func() {
 		defer close(drained)
 		<-ctx.Done()
-		logf("rtmd: router shutting down (draining for up to %v)", drainGrace)
+		logger.Info("router shutting down", "drain", drainGrace)
 		drainCtx, cancel := context.WithTimeout(context.Background(), drainGrace)
 		defer cancel()
 		var wg sync.WaitGroup
@@ -399,7 +382,7 @@ func routeMain(addr, tcpAddr, replicaList string, connsPer, pipeDepth int, drain
 		go func() {
 			defer wg.Done()
 			if err := hs.Shutdown(drainCtx); err != nil {
-				logf("rtmd: http drain: %v", err)
+				logger.Warn("http drain", "err", err)
 			}
 		}()
 		if tcpSrv != nil {
@@ -407,14 +390,14 @@ func routeMain(addr, tcpAddr, replicaList string, connsPer, pipeDepth int, drain
 			go func() {
 				defer wg.Done()
 				if err := tcpSrv.Shutdown(drainCtx); err != nil {
-					logf("rtmd: tcp drain: %v", err)
+					logger.Warn("tcp drain", "err", err)
 				}
 			}()
 		}
 		wg.Wait()
 	}()
 
-	logf("rtmd: routing %d replicas on %s: %s", len(addrs), addr, strings.Join(addrs, ", "))
+	logger.Info("routing", "addr", addr, "replicas", strings.Join(addrs, ","))
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
@@ -429,7 +412,7 @@ func routeMain(addr, tcpAddr, replicaList string, connsPer, pipeDepth int, drain
 // fleet, reporting end-to-end decisions/s. Sessions are created and
 // deleted through the router so the bench leaves the fleet as it
 // found it.
-func fleetMain(routerAddr string, sessions int, dur time.Duration, conns int, logf func(string, ...any)) {
+func fleetMain(routerAddr string, sessions int, dur time.Duration, conns int, logger *slog.Logger) {
 	if sessions < 1 {
 		fatal(errors.New("-fleet-sessions must be at least 1"))
 	}
@@ -439,7 +422,7 @@ func fleetMain(routerAddr string, sessions int, dur time.Duration, conns int, lo
 	}
 	defer fl.Close()
 	replicas := len(fl.Replicas())
-	logf("rtmd: fleet client holds %d direct replica connections (membership epoch %d)", replicas, fl.Epoch())
+	logger.Info("fleet client connected", "replicas", replicas, "epoch", fl.Epoch())
 
 	obsTemplate := governor.Observation{
 		Epoch:     1,
@@ -511,7 +494,7 @@ func fleetMain(routerAddr string, sessions int, dur time.Duration, conns int, lo
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
-		logf("rtmd: fleet client: %v", err)
+		logger.Warn("fleet client failed", "err", err)
 		return
 	}
 	n := total.Load()
@@ -536,7 +519,7 @@ type loadgenConfig struct {
 // flat rtmd, a router, the fleet directly, or the in-process oracle when
 // no address is given. With -loadgen-record and no address, the schedule
 // is recorded without being executed (trace authoring).
-func loadgenMain(cfg loadgenConfig, logf func(string, ...any)) {
+func loadgenMain(cfg loadgenConfig, logger *slog.Logger) {
 	var stream loadgen.Stream
 	if cfg.replay != "" {
 		f, err := os.Open(cfg.replay)
@@ -573,7 +556,7 @@ func loadgenMain(cfg loadgenConfig, logf func(string, ...any)) {
 			if err != nil {
 				fatal(err)
 			}
-			logf("rtmd: recorded %d events to %s", n, cfg.record)
+			logger.Info("recorded schedule", "events", n, "file", cfg.record)
 			return
 		}
 		recordTee = loadgen.NewTee(stream, f)
@@ -583,7 +566,7 @@ func loadgenMain(cfg loadgenConfig, logf func(string, ...any)) {
 	var target loadgen.Target
 	switch {
 	case cfg.addr == "":
-		logf("rtmd: loadgen driving the in-process oracle (no -loadgen-addr)")
+		logger.Info("loadgen driving the in-process oracle (no -loadgen-addr)")
 		target = loadgen.NewLocal()
 	case cfg.direct:
 		fl, err := client.DialFleet(cfg.addr)
@@ -591,7 +574,7 @@ func loadgenMain(cfg loadgenConfig, logf func(string, ...any)) {
 			fatal(err)
 		}
 		defer fl.Close()
-		logf("rtmd: loadgen driving %d replicas directly (membership epoch %d)", len(fl.Replicas()), fl.Epoch())
+		logger.Info("loadgen driving the fleet directly", "replicas", len(fl.Replicas()), "epoch", fl.Epoch())
 		target = fl
 	default:
 		cl, err := client.Dial(cfg.addr)
@@ -677,7 +660,7 @@ func buildTracer(sample float64, slow time.Duration, buf int) (*trace.Tracer, er
 // the public metrics port so an operator can firewall it separately:
 // the full net/http/pprof suite plus /debug/runtime, the same
 // runtime-health snapshot /v1/metrics embeds, as a standalone document.
-func startDebug(addr string, logf func(string, ...any)) {
+func startDebug(addr string, logger *slog.Logger) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -689,9 +672,9 @@ func startDebug(addr string, logf func(string, ...any)) {
 		rs := stats.ReadRuntime()
 		_ = json.NewEncoder(w).Encode(rs)
 	})
-	logf("rtmd: debug listener (pprof, /debug/runtime) on %s", addr)
+	logger.Info("debug listener (pprof, /debug/runtime)", "addr", addr)
 	if err := http.ListenAndServe(addr, mux); err != nil {
-		logf("rtmd: debug listener down: %v", err)
+		logger.Warn("debug listener down", "err", err)
 	}
 }
 

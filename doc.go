@@ -41,7 +41,11 @@
 //	                     behind a batched /v1/decide HTTP API and a
 //	                     binary streaming TCP transport (~5× the JSON
 //	                     path's decisions/s) that also carries the
-//	                     whole control plane as control frames;
+//	                     whole control plane as control frames; both
+//	                     fronts of both tiers (flat server, Router)
+//	                     run one decide path and one control handler,
+//	                     and a batch's observations for one session
+//	                     apply in arrival order at any GOMAXPROCS;
 //	                     latency histograms + exploration/convergence
 //	                     counters on /v1/metrics, learning-state
 //	                     checkpoints through a pluggable

@@ -22,9 +22,7 @@ import (
 // this process and measure what a million-session deployment cares
 // about: decide tail latency under churn, memory per live session, how
 // much of the churn peak the server gives back, and checkpoint write
-// amplification. The Baseline toggle re-enables the two pre-fix
-// behaviours (no session-map shrink, checkpoint-everything sweeps) so
-// the fixes stay measurable against what they replaced.
+// amplification.
 
 // SoakConfig configures one soak run.
 type SoakConfig struct {
@@ -39,9 +37,6 @@ type SoakConfig struct {
 	// Lanes and BatchMax tune the runner (loadgen.RunOptions).
 	Lanes    int
 	BatchMax int
-	// Baseline disables both churn fixes — the session-map shrink and the
-	// dirty-checkpoint skip — to measure the pre-fix behaviour.
-	Baseline bool
 	// LiveSampleEvery, when > 0, samples the LIVE heap at this cadence by
 	// forcing a GC first: HeapAlloc right after a collection is reachable
 	// memory, not reachable-plus-garbage, so the per-session figure it
@@ -61,7 +56,6 @@ type SoakConfig struct {
 // SoakResult is one soak run's measurement.
 type SoakResult struct {
 	Topology string `json:"topology"`
-	Baseline bool   `json:"baseline"`
 
 	Events       int64   `json:"events"`
 	Creates      int64   `json:"creates"`
@@ -103,13 +97,6 @@ type SoakResult struct {
 	HeapEndB   uint64 `json:"heap_end_b"`
 	RSSPeakB   uint64 `json:"rss_peak_b,omitempty"`
 	RSSEndB    uint64 `json:"rss_end_b,omitempty"`
-	// BytesPerSession is heap growth at peak per peak live session. The
-	// peak is an un-GCed HeapAlloc reading, so this counts float garbage
-	// awaiting collection alongside reachable session state — it tracks
-	// GC pressure, not footprint, and historically reads ~2x the live
-	// figure below. Kept with these semantics for comparability across
-	// BENCH_* generations.
-	BytesPerSession float64 `json:"bytes_per_session"`
 	// LiveHeapPeakB is the peak of the forced-GC samples (reachable
 	// memory only) — 0 unless LiveSampleEvery was set.
 	LiveHeapPeakB uint64 `json:"live_heap_peak_b,omitempty"`
@@ -166,10 +153,8 @@ func heapAlloc() uint64 {
 // teardown.
 func soakTopology(cfg SoakConfig) (loadgen.Target, []*serve.Server, *serve.Router, func(), error) {
 	opt := serve.Options{
-		CheckpointDir:          cfg.CheckpointDir,
-		CheckpointEvery:        cfg.CheckpointEvery,
-		CheckpointEverySession: cfg.Baseline,
-		DisableStoreShrink:     cfg.Baseline,
+		CheckpointDir:   cfg.CheckpointDir,
+		CheckpointEvery: cfg.CheckpointEvery,
 	}
 	var cleanups []func()
 	cleanup := func() {
@@ -355,7 +340,6 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 	res := &SoakResult{
 		Topology:     cfg.Topology,
-		Baseline:     cfg.Baseline,
 		Events:       rep.Events,
 		Creates:      rep.Creates,
 		Deletes:      rep.Deletes,
@@ -378,9 +362,6 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	}
 	if rep.WallS > 0 {
 		res.DecidesPerS = float64(rep.Decides) / rep.WallS
-	}
-	if rep.PeakLive > 0 && res.HeapPeakB > heapStart {
-		res.BytesPerSession = float64(res.HeapPeakB-heapStart) / float64(rep.PeakLive)
 	}
 	res.LiveHeapPeakB = livePeak.Load()
 	if rep.PeakLive > 0 && res.LiveHeapPeakB > heapStart {

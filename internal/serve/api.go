@@ -6,16 +6,10 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
 	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"qgov/internal/governor"
 	"qgov/internal/stats"
-	"qgov/internal/trace"
 )
 
 // Wire types. Floats round-trip exactly through encoding/json (shortest
@@ -127,74 +121,6 @@ type decisionJSON struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// maxDecideBatch bounds one /v1/decide request; a controller batching
-// more clusters than this per tick should split the batch.
-const maxDecideBatch = 4096
-
-// validateDecideBatch is the one copy of the batch-size contract, shared
-// by the flat server's and the router's JSON decide handlers so the two
-// paths cannot drift.
-func validateDecideBatch(n int) error {
-	if n == 0 {
-		return errf("requests is empty")
-	}
-	if n > maxDecideBatch {
-		return errf("batch of %d exceeds the %d-decision limit", n, maxDecideBatch)
-	}
-	return nil
-}
-
-// maxBodyBytes bounds any request body (calibration series and inline
-// checkpoints are the big ones).
-const maxBodyBytes = 32 << 20
-
-// Handler returns the HTTP API.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sessions", s.handleCreate)
-	mux.HandleFunc("POST /v1/decide", s.handleDecide)
-	mux.HandleFunc("GET /v1/sessions/{id}", s.handleInfo)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
-	mux.HandleFunc("POST /v1/sessions/{id}/checkpoint", s.handleCheckpoint)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/trace", s.handleTrace)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req createRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	sess, status, err := s.createSession(req)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	s.logf("serve: session %s created (%s on %s)", sess.id, sess.govName, sess.platName)
-	writeJSON(w, http.StatusCreated, s.info(sess))
-}
-
 func (s *Server) info(sess *session) sessionInfo {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -216,23 +142,6 @@ func (s *Server) info(sess *session) sessionInfo {
 		in.ConvergedAt = ls.ConvergedAtEpoch()
 	}
 	return in
-}
-
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(r.PathValue("id"))
-	if sess == nil {
-		writeError(w, http.StatusNotFound, errUnknownSession(r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.info(sess))
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.deleteSession(r.PathValue("id")) {
-		writeError(w, http.StatusNotFound, errUnknownSession(r.PathValue("id")))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // freezeSession captures the session's learnt state now and persists it
@@ -275,135 +184,12 @@ func (s *Server) freezeSession(sess *session) ([]byte, int, error) {
 	return buf.Bytes(), http.StatusOK, nil
 }
 
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(r.PathValue("id"))
-	if sess == nil {
-		writeError(w, http.StatusNotFound, errUnknownSession(r.PathValue("id")))
-		return
-	}
-	state, status, err := s.freezeSession(sess)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, checkpointResponse{Session: sess.id, State: state})
-}
-
 // checkpointResponse is the body of a successful checkpoint: the frozen
 // state inline, so a caller (the router's hand-off, a backup job) can
 // carry it without touching the checkpoint store.
 type checkpointResponse struct {
 	Session string          `json:"session"`
 	State   json.RawMessage `json:"state"`
-}
-
-// decideOne serves one batch entry. Entries fail independently — an
-// unknown session or a rejected observation errors that entry, not the
-// batch.
-func (s *Server) decideOne(item decideItem) decisionJSON {
-	d := decisionJSON{Session: item.Session, OPPIdx: -1}
-	if sess := s.session(item.Session); sess == nil {
-		d.Error = errUnknownSession(item.Session).Error()
-	} else if idx, err := sess.decide(item.Obs.observation()); err != nil {
-		d.Error = err.Error()
-	} else {
-		d.OPPIdx = idx
-		d.FreqMHz = sess.plat.table[idx].FreqMHz
-		s.decisions.Add(1)
-	}
-	return d
-}
-
-// parallelDecideThreshold is the batch size past which fanning entries
-// out across workers beats a serial loop (a single decision is a few
-// microseconds of governor work).
-const parallelDecideThreshold = 32
-
-// fanOut runs f(0..n-1), in parallel across min(GOMAXPROCS, n) workers
-// when the batch is big enough to amortise the goroutine hand-off. Both
-// transports decide batches through it: sessions lock independently, so
-// entries for different sessions run concurrently.
-func fanOut(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if n < parallelDecideThreshold || workers < 2 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// handleDecide is the serving hot path: one batched request carries one
-// observation per controlled session and returns one operating-point
-// decision each. Large batches fan out across workers — sessions lock
-// independently, so decisions for different sessions run concurrently
-// within a batch as well as across requests. A batch carrying several
-// observations for the *same* session is a protocol violation (the
-// session serialises them in unspecified order).
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	var req decideRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	n := len(req.Requests)
-	if err := validateDecideBatch(n); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Same two sampling decisions as the binary path, batch-level on the
-	// JSON plane: head-sample the batch, tail-capture it if slow.
-	tr := s.tracer
-	batchTrace, _ := tr.Sample()
-	timed := tr.Enabled()
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	resp := decideResponse{Decisions: make([]decisionJSON, n)}
-	fanOut(n, func(i int) {
-		resp.Decisions[i] = s.decideOne(req.Requests[i])
-	})
-	if timed {
-		dur := time.Since(start)
-		durUS := float64(dur) / float64(time.Microsecond)
-		if tr.Slow(dur) {
-			id := batchTrace
-			if id == 0 {
-				id = tr.ID()
-			}
-			tr.Record(trace.Span{
-				Trace: id, Stage: "decide.batch", Origin: s.originName(),
-				Start: start.UnixNano(), DurUS: durUS, Batch: n, Slow: true,
-			})
-			s.log.Warn("slow decide batch",
-				"trace", id.String(), "dur_us", durUS, "batch", n)
-		} else if batchTrace != 0 {
-			tr.Record(trace.Span{
-				Trace: batchTrace, Stage: "decide.batch", Origin: s.originName(),
-				Start: start.UnixNano(), DurUS: durUS, Batch: n,
-			})
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // latencyJSON is one latency histogram: bins over [lo_us, hi_us] with
@@ -515,10 +301,11 @@ type metricsJSON struct {
 	QTableCowFaults       int64 `json:"qtable_cow_faults"`
 }
 
-// buildMetrics snapshots the fleet view /v1/metrics serves. Each session
-// is snapshotted under its own lock, so metrics reads interleave with
-// serving without stalling the whole store.
-func (s *Server) buildMetrics() metricsJSON {
+// metrics implements connBackend: it snapshots the view /v1/metrics
+// serves. Each session is snapshotted under its own lock, so metrics
+// reads interleave with serving without stalling the whole store. It
+// never fails; the error is the router's.
+func (s *Server) metrics() (metricsJSON, error) {
 	all := s.snapshotSessions()
 	out := metricsJSON{
 		Decisions:         s.decisions.Load(),
@@ -555,39 +342,7 @@ func (s *Server) buildMetrics() metricsJSON {
 		sess.mu.Unlock()
 		out.Sessions[sess.id] = mj
 	}
-	return out
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.buildMetrics()
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", prometheusContentType)
-		writePrometheus(w, m, topSessions(r))
-		return
-	}
-	writeJSON(w, http.StatusOK, m)
-}
-
-// maxTopSessions bounds ?top=K: per-session series are opt-in detail, and
-// even opted in, the scrape must stay bounded whatever K the URL carries.
-const maxTopSessions = 64
-
-// topSessions reads the Prometheus scrape's ?top=K knob: how many of the
-// busiest sessions get per-session series. The default 0 keeps the
-// exposition O(1) in session count.
-func topSessions(r *http.Request) int {
-	s := r.URL.Query().Get("top")
-	if s == "" {
-		return 0
-	}
-	k, err := strconv.Atoi(s)
-	if err != nil || k < 0 {
-		return 0
-	}
-	if k > maxTopSessions {
-		return maxTopSessions
-	}
-	return k
+	return out, nil
 }
 
 // mergeLatencyJSON folds one rendered latency histogram into an
@@ -685,10 +440,6 @@ func (s *Server) health() healthJSON {
 		MemberEpoch: s.fleetEpoch.Load(),
 		Forwarded:   s.forwarded.Load(),
 	}
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
 }
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }

@@ -103,25 +103,6 @@ func TestCheckpointSweepSkipsCleanSessions(t *testing.T) {
 	}
 }
 
-// The pre-fix baseline toggle: CheckpointEverySession restores the
-// re-write-everything sweep the soak harness measures against.
-func TestCheckpointEverySessionBaseline(t *testing.T) {
-	h := newTestServer(t, serve.Options{
-		CheckpointDir:          t.TempDir(),
-		CheckpointEverySession: true,
-	})
-	createAndDecide(t, h, "base-a", 1)
-	createAndDecide(t, h, "base-b", 1)
-	for sweep := 1; sweep <= 3; sweep++ {
-		if n, err := h.srv.CheckpointAll(); err != nil || n != 2 {
-			t.Fatalf("baseline sweep %d wrote %d (err %v), want 2", sweep, n, err)
-		}
-	}
-	if w, sk := ckptCounters(t, h); w != 6 || sk != 0 {
-		t.Fatalf("baseline counters: writes=%d skipped=%d, want 6/0", w, sk)
-	}
-}
-
 // A session re-created from its checkpoint must still checkpoint again
 // after new decides: the dirty generation restarts with the session.
 func TestCheckpointDirtyAfterWarmRestart(t *testing.T) {

@@ -290,20 +290,6 @@ func (c *Client) DecideBatchTraced(sessions []string, obs []governor.Observation
 	return decideBatch(c, sessions, obs, out, 0, traces)
 }
 
-// DecideBatchBytes is DecideBatch for callers that already hold session
-// ids as bytes — a router regrouping decoded frames by ring owner skips
-// one string conversion per decision on its hot path.
-func (c *Client) DecideBatchBytes(sessions [][]byte, obs []governor.Observation, out []Decision) error {
-	if len(sessions) != len(obs) || len(sessions) != len(out) {
-		return fmt.Errorf("client: mismatched batch slices (%d sessions, %d observations, %d outputs)",
-			len(sessions), len(obs), len(out))
-	}
-	if len(sessions) == 0 {
-		return nil
-	}
-	return decideBatch(c, sessions, obs, out, 0, nil)
-}
-
 // ForwardBatch relays observes that arrived at the wrong replica to the
 // ring owner on behalf of a stale direct client. Each frame carries
 // wire.FlagForwarded, so the receiver answers locally even if its own

@@ -7,12 +7,12 @@ import (
 	"qgov/internal/wire"
 )
 
-// control implements connBackend: it executes one binary control-plane
-// operation. Ops mirror the HTTP endpoints one for one — same request
-// and response JSON, same status codes — so the two control planes
-// cannot drift apart in semantics, only in framing. It is called from
-// the TCP connection worker between decide batches (control frames are
-// ordering barriers; see tcpConn.respond).
+// control implements connBackend: it executes one control-plane
+// operation. The HTTP routes call it too (http.go), so the two control
+// planes share request and response JSON and status codes by
+// construction and differ only in framing. On the binary plane it runs
+// in the TCP connection worker between decide batches (control frames
+// are ordering barriers; see tcpConn.respond).
 func (s *Server) control(op byte, session string, body []byte) (status uint16, resp []byte) {
 	switch op {
 	case wire.OpCreate:
@@ -29,7 +29,7 @@ func (s *Server) control(op byte, session string, body []byte) (status uint16, r
 		if err != nil {
 			return uint16(st), errorBody(err)
 		}
-		s.logf("serve: session %s created (%s on %s)", sess.id, sess.govName, sess.platName)
+		s.log.Info("session created", "session", sess.id, "governor", sess.govName, "platform", sess.platName)
 		return http.StatusCreated, jsonBody(s.info(sess))
 
 	case wire.OpCheckpoint:
@@ -57,7 +57,8 @@ func (s *Server) control(op byte, session string, body []byte) (status uint16, r
 		return http.StatusOK, jsonBody(s.info(sess))
 
 	case wire.OpMetrics:
-		return http.StatusOK, jsonBody(s.buildMetrics())
+		m, _ := s.metrics()
+		return http.StatusOK, jsonBody(m)
 
 	case wire.OpList:
 		return http.StatusOK, jsonBody(s.listInfos())

@@ -97,7 +97,7 @@ func (s *Server) installMembers(msg wire.Members) (uint16, []byte) {
 	for _, cl := range stale {
 		cl.Close()
 	}
-	s.logf("serve: installed membership epoch %d (%d members, self %s)", msg.Epoch, len(msg.Members), msg.Self)
+	s.log.Info("installed membership", "epoch", msg.Epoch, "members", len(msg.Members), "self", msg.Self)
 	return http.StatusOK, jsonBody(msg)
 }
 

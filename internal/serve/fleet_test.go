@@ -535,7 +535,7 @@ func TestDirectFleetEquivalence(t *testing.T) {
 // entirely — no extra hop, no shared relay tier — so this bounds the
 // routed numbers from above and throughput scales with the replica
 // count instead of the routing tier's capacity. BENCH_7.json records
-// this, the pipelined routed path, and the legacy blocking relay in CI.
+// this beside the pipelined routed path.
 func BenchmarkDirectDecideThroughput(b *testing.B) {
 	for _, replicas := range []int{2, 3, 4} {
 		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {

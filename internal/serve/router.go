@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"qgov/internal/governor"
 	"qgov/internal/ring"
 	"qgov/internal/serve/client"
 	"qgov/internal/stats"
@@ -28,21 +27,21 @@ import (
 // pipelined relay: observe payloads coming off the binary listener are
 // forwarded as raw bytes — only the request id is rewritten — grouped
 // by owner, and dispatched without waiting for the previous batch's
-// replies, so up to the transport's pipeline depth of batches stay in
-// flight per inbound connection while each replica's slice still
-// travels as one flush on that replica's connection (the
-// connection-level batch coalescing the flat server relies on,
-// preserved per replica). Per-batch grouping state is pooled;
-// LegacyRelay restores the old blocking decode/re-encode relay.
+// replies, so up to pipelineDepth batches stay in flight per inbound
+// connection while each replica's slice still travels as one flush on
+// that replica's connection (the connection-level batch coalescing the
+// flat server relies on, preserved per replica). Per-batch grouping
+// state is pooled.
 // Control operations (create, checkpoint, delete, info) follow the
 // same ring; metrics and list aggregate across the fleet, including a
 // per-replica relay hop histogram and in-flight gauge.
 //
-// The router serves the same two fronts as a replica: Handler is the
-// HTTP control plane (plus JSON decide), NewRouterTCP the binary
-// transport. Clients cannot tell a router from a flat server — the
-// router equivalence test holds routed decision streams byte-identical
-// to a single server over the same session set.
+// The router serves the same two fronts as a replica — Handler (the
+// HTTP API, built by the same code as the flat server's) and
+// NewRouterTCP (the binary transport). Clients cannot tell a router
+// from a flat server — the router equivalence test holds routed
+// decision streams byte-identical to a single server over the same
+// session set.
 //
 // RemoveReplica drains a member: its sessions hand off to their new
 // owners by checkpoint/restore (freeze on the leaving replica, re-create
@@ -85,14 +84,13 @@ type Router struct {
 
 	// relayWG counts in-flight relayed decide batches. Add runs under
 	// mu.RLock, Wait under mu.Lock — mutually exclusive, so a Wait never
-	// races a fresh Add. Ring changes Wait on it to restore the invariant
-	// the legacy path got from holding the read lock across the round
-	// trip: no decision lands on a session mid-move.
+	// races a fresh Add. Ring changes Wait on it so that no decision
+	// lands on a session mid-move.
 	relayWG  sync.WaitGroup
 	inflight atomic.Int64
 
 	// hopmu guards hops: per-replica routed round-trip latency, recorded
-	// by relay completion goroutines and snapshotted by mergedMetrics.
+	// by relay completion goroutines and snapshotted by metrics.
 	hopmu sync.Mutex
 	hops  map[string]*stats.Histogram
 
@@ -110,12 +108,6 @@ type memberStatus struct {
 // defaultProbeEvery is the replica health-check cadence when
 // RouterOptions.ProbeEvery is zero.
 const defaultProbeEvery = 2 * time.Second
-
-// defaultPipelineDepth is the per-connection relay pipeline depth when
-// RouterOptions.PipelineDepth is zero: how many decide batches the
-// router's transport keeps in flight toward the replicas before the
-// reader stops pulling new frames off a client connection.
-const defaultPipelineDepth = 4
 
 // Routed hop latency histogram shape: 0–20ms in 400µs bins covers
 // loopback and rack-local round trips; slower hops land in overflow,
@@ -145,16 +137,6 @@ type RouterOptions struct {
 	// ConnsPerReplica is how many binary connections the router opens to
 	// each replica; batches stripe across them. <= 0 selects 1.
 	ConnsPerReplica int
-	// PipelineDepth bounds how many decide batches each client
-	// connection keeps in flight toward the replicas before the router
-	// stops pulling new frames off it. Zero selects
-	// defaultPipelineDepth; LegacyRelay disables pipelining entirely.
-	PipelineDepth int
-	// LegacyRelay restores the pre-pipelining relay: each decide batch
-	// decodes into observations, re-encodes toward the replicas, and
-	// blocks its connection until every reply lands. Kept as an escape
-	// hatch and as the baseline the routed benchmarks compare against.
-	LegacyRelay bool
 }
 
 // NewRouter dials every replica's binary address and builds the ring
@@ -221,14 +203,6 @@ func (rt *Router) memberEpoch() uint32 { return rt.epoch.Load() }
 // Epoch returns the current membership epoch (bumped on every ring
 // change).
 func (rt *Router) Epoch() uint32 { return rt.epoch.Load() }
-
-// logf keeps printf-style call sites alive on the structured logger;
-// new code should call rt.log directly with key/value attrs.
-func (rt *Router) logf(format string, args ...any) {
-	if rt.log.Enabled(nil, slog.LevelInfo) {
-		rt.log.Info(fmt.Sprintf(format, args...))
-	}
-}
 
 // Tracer exposes the router's span ring, for embedding harnesses and
 // the /v1/trace handlers. Never nil.
@@ -332,7 +306,8 @@ func (rt *Router) pushMembershipLocked() {
 func (rt *Router) pushTable(addr string, cl *client.Client, epoch uint32, vnodes int, members []string) {
 	body := jsonBody(wire.Members{Epoch: epoch, VNodes: vnodes, Members: members, Self: addr})
 	if status, resp, err := cl.Control(wire.OpMembers, "", body); err != nil || status != http.StatusOK {
-		rt.logf("serve: router: pushing membership epoch %d to %s: status %d err %v (%s)", epoch, addr, status, err, resp)
+		rt.log.Warn("pushing membership failed",
+			"replica", addr, "epoch", epoch, "status", status, "err", err, "body", string(resp))
 	}
 }
 
@@ -409,33 +384,12 @@ func (rt *Router) probeOnce() {
 	}
 }
 
-// decideBatch implements connBackend: requests group by owning replica
-// and fan out, one relay (one flush, one coalesced server-side fan-out)
-// per replica. Entries for unreachable replicas fail individually,
-// exactly like unknown sessions. The JSON decide path and the legacy
-// relay come through here and block until the batch is answered; the
-// pipelined binary transport calls startBatch directly instead, so the
-// connection's reader keeps pulling frames while this batch is in
-// flight.
-func (rt *Router) decideBatch(batch []*observeReq) {
-	if rt.pipelineDepth() > 0 {
-		<-rt.startBatch(batch)
-		return
-	}
-	rt.legacyDecideBatch(batch)
-}
-
-// pipelineDepth implements batchStarter: a positive depth switches the
-// binary transport's connection workers to the pipelined dispatcher.
-func (rt *Router) pipelineDepth() int {
-	if rt.opt.LegacyRelay {
-		return 0
-	}
-	if rt.opt.PipelineDepth > 0 {
-		return rt.opt.PipelineDepth
-	}
-	return defaultPipelineDepth
-}
+// decideBatch implements connBackend: it relays the batch through
+// startBatch and blocks until every entry is answered. The JSON decide
+// path comes through here; the binary transport calls startBatch
+// directly, so the connection's reader keeps pulling frames while a
+// batch is in flight.
+func (rt *Router) decideBatch(batch []*observeReq) { <-rt.startBatch(batch) }
 
 // routeGroup is one replica's slice of a relayed batch: the original
 // batch positions, the observe payloads aliased straight out of the
@@ -725,74 +679,19 @@ func (rt *Router) hopSnapshot() map[string]latencyJSON {
 	return out
 }
 
-// legacyDecideBatch is the pre-pipelining relay, kept behind
-// RouterOptions.LegacyRelay: decode each request, re-encode toward the
-// owner, and hold the read lock across the whole round trip.
-func (rt *Router) legacyDecideBatch(batch []*observeReq) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-
-	type group struct {
-		idx      []int
-		sessions [][]byte
-		obs      []governor.Observation
-	}
-	groups := make(map[string]*group)
-	for i, r := range batch {
-		if r.ctrl {
-			continue // callers split controls out; defensive
-		}
-		owner, ok := rt.ring.OwnerBytes(r.m.Session)
-		if !ok {
-			r.oppIdx, r.freqMHz = -1, 0
-			r.errMsg = "router has no replicas"
-			continue
-		}
-		g := groups[owner]
-		if g == nil {
-			g = &group{}
-			groups[owner] = g
-		}
-		g.idx = append(g.idx, i)
-		// The session bytes stay owned by their pooled request until the
-		// whole batch is answered, so the group can alias them — skipping
-		// a string conversion per decision on the routed hot path.
-		g.sessions = append(g.sessions, r.m.Session)
-		g.obs = append(g.obs, r.m.Obs)
-	}
-
-	var wg sync.WaitGroup
-	for owner, g := range groups {
-		wg.Add(1)
-		go func(owner string, g *group) {
-			defer wg.Done()
-			out := make([]client.Decision, len(g.sessions))
-			err := rt.clients[owner].DecideBatchBytes(g.sessions, g.obs, out)
-			for k, i := range g.idx {
-				r := batch[i]
-				if err != nil {
-					r.oppIdx, r.freqMHz = -1, 0
-					r.errMsg = fmt.Sprintf("replica %s: %v", owner, err)
-					continue
-				}
-				r.oppIdx = int32(out[k].OPPIdx)
-				r.freqMHz = int32(out[k].FreqMHz)
-				r.errMsg = out[k].Err
-				if out[k].Err == "" {
-					rt.decisions.Add(1)
-				}
-			}
-		}(owner, g)
-	}
-	wg.Wait()
-}
-
 // control implements connBackend: session-scoped ops forward to the
 // owning replica; fleet-scoped ops aggregate across every replica.
 func (rt *Router) control(op byte, session string, body []byte) (uint16, []byte) {
 	switch op {
 	case wire.OpMetrics:
-		return rt.aggregateMetrics()
+		// A partial answer is still 200 (scrapers keep their time series
+		// through a replica outage) with the gap named in
+		// degraded_replicas.
+		merged, err := rt.metrics()
+		if err != nil {
+			return http.StatusBadGateway, errorBody(err)
+		}
+		return http.StatusOK, jsonBody(merged)
 	case wire.OpList:
 		return rt.aggregateList()
 	case wire.OpHealth:
@@ -894,12 +793,13 @@ func (rt *Router) eachReplica(f func(addr string, cl *client.Client) ([]byte, er
 	return bodies, members, errs
 }
 
-// mergedMetrics merges the reachable replicas' /v1/metrics documents:
+// metrics implements connBackend: it merges the reachable replicas'
+// /v1/metrics documents:
 // session entries union (ids are globally unique — the ring sends each
 // to one replica), decision counters sum, and unreachable members are
 // named in DegradedReplicas rather than failing the whole aggregate.
 // The error is non-nil only when zero replicas answered.
-func (rt *Router) mergedMetrics() (metricsJSON, error) {
+func (rt *Router) metrics() (metricsJSON, error) {
 	bodies, members, errs := rt.eachReplica(func(addr string, cl *client.Client) ([]byte, error) {
 		status, body, err := cl.Metrics()
 		if err != nil {
@@ -951,17 +851,6 @@ func (rt *Router) mergedMetrics() (metricsJSON, error) {
 	rs := stats.ReadRuntime()
 	merged.Runtime = &rs // the router's own process, not the fleet's
 	return merged, nil
-}
-
-// aggregateMetrics is mergedMetrics in control-plane clothing: a partial
-// answer is still 200 (scrapers keep their time series through a replica
-// outage) with the gap named in degraded_replicas.
-func (rt *Router) aggregateMetrics() (uint16, []byte) {
-	merged, err := rt.mergedMetrics()
-	if err != nil {
-		return http.StatusBadGateway, errorBody(err)
-	}
-	return http.StatusOK, jsonBody(merged)
 }
 
 // aggregateList concatenates the reachable replicas' session lists,
@@ -1058,7 +947,8 @@ func (rt *Router) RemoveReplica(addr string) ([]string, error) {
 			return nil, fmt.Errorf("serve: ring is empty")
 		}
 		if err := rt.moveSession(leaving, addr, rt.clients[owner], owner, info); err != nil {
-			rt.logf("serve: router: moving %s off %s failed, aborting drain: %v", info.ID, addr, err)
+			rt.log.Warn("moving session failed; aborting drain",
+				"session", info.ID, "replica", addr, "err", err)
 			rt.undoDrain(leaving, addr, infos, moved)
 			rt.ring.Add(addr)
 			return nil, fmt.Errorf("serve: draining %s: moving %s: %w", addr, info.ID, err)
@@ -1135,10 +1025,12 @@ func (rt *Router) AddReplica(addr string) ([]string, error) {
 			continue
 		}
 		if err := rt.moveSession(c.cl, c.addr, cl, addr, c.info); err != nil {
-			rt.logf("serve: router: moving %s onto %s failed, aborting join: %v", c.info.ID, addr, err)
+			rt.log.Warn("moving session failed; aborting join",
+				"session", c.info.ID, "replica", addr, "err", err)
 			for _, m := range moved {
 				if uerr := rt.moveSession(cl, addr, m.cl, m.addr, m.info); uerr != nil {
-					rt.logf("serve: router: undo of %s back to %s failed: %v", m.info.ID, m.addr, uerr)
+					rt.log.Warn("moving session back failed",
+						"session", m.info.ID, "replica", m.addr, "err", uerr)
 				}
 			}
 			rt.ring.Remove(addr)
@@ -1176,7 +1068,7 @@ func (rt *Router) undoDrain(leaving *client.Client, addr string, infos []session
 			continue
 		}
 		if err := rt.moveSession(rt.clients[owner], owner, leaving, addr, byID[id]); err != nil {
-			rt.logf("serve: router: undo of %s back to %s failed: %v", id, addr, err)
+			rt.log.Warn("moving session back failed", "session", id, "replica", addr, "err", err)
 		}
 	}
 }
@@ -1245,15 +1137,15 @@ func (rt *Router) moveSession(src *client.Client, srcAddr string, dst *client.Cl
 		// orphaned dst copy would keep checkpointing stale state over the
 		// live session's on shared storage.
 		if st, b, derr := dst.DeleteSession(info.ID); derr != nil || st != http.StatusNoContent {
-			rt.logf("serve: router: removing duplicate %s from %s after failed move: status %d err %v (%s)",
-				info.ID, dstAddr, st, derr, b)
+			rt.log.Warn("removing duplicate after failed move failed",
+				"session", info.ID, "replica", dstAddr, "status", st, "err", derr, "body", string(b))
 		} else if state != nil {
 			// That delete garbage-collected the checkpoint; on shared
 			// storage it was the survivor's too. Re-freeze on the source
 			// (best-effort — its periodic sweep retries).
 			if st, _, cerr := src.CheckpointSession(info.ID); cerr != nil || st != http.StatusOK {
-				rt.logf("serve: router: re-freezing %s on %s after aborted move: status %d err %v",
-					info.ID, srcAddr, st, cerr)
+				rt.log.Warn("re-freezing after aborted move failed",
+					"session", info.ID, "replica", srcAddr, "status", st, "err", cerr)
 			}
 		}
 		return fmt.Errorf("deleting from %s: status %d err %v (%s)", srcAddr, status, err, body)
@@ -1264,8 +1156,8 @@ func (rt *Router) moveSession(src *client.Client, srcAddr string, dst *client.Cl
 	// the learnt state the move just carried.
 	if state != nil {
 		if status, body, err := dst.CheckpointSession(info.ID); err != nil || status != http.StatusOK {
-			rt.logf("serve: router: persisting %s on %s after move: status %d err %v (%s)",
-				info.ID, dstAddr, status, err, body)
+			rt.log.Warn("persisting moved session failed",
+				"session", info.ID, "replica", dstAddr, "status", status, "err", err, "body", string(body))
 		}
 	}
 	return nil
@@ -1275,101 +1167,7 @@ func (rt *Router) moveSession(src *client.Client, srcAddr string, dst *client.Cl
 // routed twin of NewTCP. Clients speak the identical protocol; the
 // router forwards each frame to the replica that owns its session.
 func NewRouterTCP(rt *Router, lis net.Listener) *TCPServer {
-	return newTCPListener(rt, lis)
-}
-
-// Handler returns the router's HTTP API: the same surface a flat server
-// exposes, so existing clients point at the router unchanged.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sessions", rt.handleRouteCreate)
-	mux.HandleFunc("POST /v1/decide", rt.handleRouteDecide)
-	mux.HandleFunc("GET /v1/sessions/{id}", rt.handleRouteOp(wire.OpInfo))
-	mux.HandleFunc("DELETE /v1/sessions/{id}", rt.handleRouteOp(wire.OpDelete))
-	mux.HandleFunc("POST /v1/sessions/{id}/checkpoint", rt.handleRouteOp(wire.OpCheckpoint))
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if wantsPrometheus(r) {
-			// The router scrapes like a replica: the fleet-merged document
-			// renders through the same exposition writer.
-			merged, err := rt.mergedMetrics()
-			if err != nil {
-				writeError(w, http.StatusBadGateway, err)
-				return
-			}
-			w.Header().Set("Content-Type", prometheusContentType)
-			writePrometheus(w, merged, topSessions(r))
-			return
-		}
-		status, body := rt.control(wire.OpMetrics, "", nil)
-		writeControlResult(w, status, body)
-	})
-	mux.HandleFunc("GET /v1/trace", rt.handleTrace)
-	mux.HandleFunc("GET /healthz", rt.handleRouteHealth)
-	mux.HandleFunc("GET /v1/members", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, rt.membersInfo())
-	})
-	return mux
-}
-
-// writeControlResult relays a control result as an HTTP response; the
-// two planes share status codes and bodies by construction.
-func writeControlResult(w http.ResponseWriter, status uint16, body []byte) {
-	if len(body) == 0 {
-		w.WriteHeader(int(status))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(int(status))
-	_, _ = w.Write(body)
-}
-
-func (rt *Router) handleRouteCreate(w http.ResponseWriter, r *http.Request) {
-	var req createRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	status, body := rt.control(wire.OpCreate, req.ID, jsonBody(req))
-	writeControlResult(w, status, body)
-}
-
-func (rt *Router) handleRouteOp(op byte) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		status, body := rt.control(op, r.PathValue("id"), nil)
-		writeControlResult(w, status, body)
-	}
-}
-
-// handleRouteDecide serves a JSON decide batch through the same
-// grouping/fan-out path as the binary transport.
-func (rt *Router) handleRouteDecide(w http.ResponseWriter, r *http.Request) {
-	var req decideRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	n := len(req.Requests)
-	if err := validateDecideBatch(n); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	batch := make([]*observeReq, n)
-	for i, item := range req.Requests {
-		batch[i] = &observeReq{}
-		batch[i].m.Session = []byte(item.Session)
-		batch[i].m.Obs = item.Obs.observation()
-	}
-	rt.decideBatch(batch)
-	resp := decideResponse{Decisions: make([]decisionJSON, n)}
-	for i, r := range batch {
-		// decideBatch zeroes freqMHz on every failure path, matching the
-		// flat server's error shape.
-		resp.Decisions[i] = decisionJSON{
-			Session: req.Requests[i].Session,
-			OPPIdx:  int(r.oppIdx),
-			FreqMHz: int(r.freqMHz),
-			Error:   r.errMsg,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return newTCPListener(rt, lis, rt.log)
 }
 
 // memberHealthJSON is one member's slot in the fleet health document.
@@ -1442,9 +1240,4 @@ func (rt *Router) aggregateHealth() (uint16, []byte) {
 		body["degraded"] = degraded
 	}
 	return uint16(code), jsonBody(body)
-}
-
-func (rt *Router) handleRouteHealth(w http.ResponseWriter, _ *http.Request) {
-	status, body := rt.aggregateHealth()
-	writeControlResult(w, status, body)
 }

@@ -187,9 +187,9 @@ func itoa(i int) string {
 // batches on the same client connection to other replicas. The slow
 // replica holds its reply; the test then sends a decide owned by the
 // fast replica and requires the fast replica to RECEIVE it while the
-// slow one is still stalled — under the legacy blocking relay the
-// connection worker would still be inside the first round trip and the
-// second frame would never leave the router. Replies still come back in
+// slow one is still stalled — a blocking relay would still be inside
+// the first round trip and the second frame would never leave the
+// router. Replies still come back in
 // arrival order once the slow lane releases (per-connection ordering is
 // part of the wire contract).
 func TestRouterPipelineStalledLane(t *testing.T) {

@@ -85,27 +85,14 @@ func TestRouterEquivalence(t *testing.T) {
 }
 
 // TestRouterEquivalencePipelinedMultiConn re-runs the router-vs-flat
-// suite with the relay's concurrency knobs turned up: two connections
-// per replica (batches stripe across them) and an explicit pipeline
-// depth, so several relayed batches ride each replica connection at
-// once. The byte-identical contract must survive both — under -race
-// this is the pipelined relay's equivalence test.
+// suite with two connections per replica (batches stripe across them),
+// so several pipelined relay batches ride each replica connection at
+// once. The byte-identical contract must survive it — under -race this
+// is the pipelined relay's equivalence test.
 func TestRouterEquivalencePipelinedMultiConn(t *testing.T) {
 	dirFleet := t.TempDir()
 	runRouterFlatEquivalence(t, serve.Options{CheckpointDir: dirFleet},
-		serve.RouterOptions{ConnsPerReplica: 2, PipelineDepth: 4},
-		func(id string) ([]byte, error) {
-			return os.ReadFile(dirFleet + "/" + id + ".state")
-		})
-}
-
-// TestRouterEquivalenceLegacyRelay keeps the legacy blocking relay (the
-// -pipeline-depth<0 escape hatch and the benchmark baseline) honest
-// against the same contract.
-func TestRouterEquivalenceLegacyRelay(t *testing.T) {
-	dirFleet := t.TempDir()
-	runRouterFlatEquivalence(t, serve.Options{CheckpointDir: dirFleet},
-		serve.RouterOptions{LegacyRelay: true},
+		serve.RouterOptions{ConnsPerReplica: 2},
 		func(id string) ([]byte, error) {
 			return os.ReadFile(dirFleet + "/" + id + ".state")
 		})
@@ -452,21 +439,9 @@ func obsFromGov(o governor.Observation) obsJSON {
 func BenchmarkRoutedDecideThroughput(b *testing.B) {
 	for _, replicas := range []int{2, 3, 4} {
 		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
-			// Two connections per replica plus the default pipeline depth:
-			// the configuration the relay rework targets.
+			// Two connections per replica: the configuration the pipelined
+			// relay targets.
 			benchRoutedDecide(b, replicas, serve.RouterOptions{ConnsPerReplica: 2})
-		})
-	}
-}
-
-// BenchmarkRoutedLegacyDecideThroughput is the same load through the
-// legacy blocking relay (decode, re-encode, one batch in flight per
-// connection) — the baseline the pipelined numbers in BENCH_7.json are
-// read against.
-func BenchmarkRoutedLegacyDecideThroughput(b *testing.B) {
-	for _, replicas := range []int{2, 4} {
-		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
-			benchRoutedDecide(b, replicas, serve.RouterOptions{LegacyRelay: true})
 		})
 	}
 }

@@ -13,14 +13,22 @@
 //	POST   /v1/sessions/{id}/checkpoint freeze the learnt state now
 //	DELETE /v1/sessions/{id}            drop the session and its
 //	                                    checkpoint
+//	GET    /v1/metrics                  fleet view (JSON, or
+//	                                    ?format=prometheus)
+//	GET    /v1/trace                    sampled decide-path spans
+//	GET    /v1/members                  installed membership table
 //	GET    /healthz                     liveness + counters
+//
+// A Router serves the same routes from the same mux (http.go): every
+// HTTP route runs the code the binary transport's frames run.
 //
 // Sessions are independent and internally locked: decisions for
 // different sessions run concurrently, decisions for one session
-// serialise, so each session's governor sees a strict observation
-// sequence and remains exactly as deterministic as under sim.Run (the
-// serve tests drive a sim.Session through this API and require
-// byte-identical physical aggregates). The session map itself lives in
+// serialise in arrival order — within one batch too — so each
+// session's governor sees a strict observation sequence and remains
+// exactly as deterministic as under sim.Run (the serve tests drive a
+// sim.Session through this API and require byte-identical physical
+// aggregates). The session map itself lives in
 // a sessionstore.Sharded store — mutex-striped shards, so two decides
 // for different sessions rarely touch the same lock even on the lookup.
 //
@@ -147,16 +155,6 @@ type Options struct {
 	// StoreShards overrides the session store's stripe count; <= 0 uses
 	// the sessionstore default.
 	StoreShards int
-	// CheckpointEverySession restores the pre-fix sweep behaviour: the
-	// periodic checkpoint loop re-serialises and re-writes every session
-	// each interval even when nothing decided since the last write. It
-	// exists so the soak harness can measure the write-amplification fix
-	// against its baseline; leave it false in production.
-	CheckpointEverySession bool
-	// DisableStoreShrink turns off the session store's delete-storm map
-	// rebuild (sessionstore.Sharded.DisableShrink) — the other soak
-	// baseline toggle; leave it false in production.
-	DisableStoreShrink bool
 	// Log receives operational and slow-request log records; nil
 	// discards them.
 	Log *slog.Logger
@@ -290,9 +288,6 @@ func New(opt Options) *Server {
 		ckpt = d
 	}
 	store := sessionstore.NewSharded[*session](opt.StoreShards)
-	if opt.DisableStoreShrink {
-		store.DisableShrink()
-	}
 	lg := opt.Log
 	if lg == nil {
 		lg = slog.New(slog.DiscardHandler)
@@ -313,9 +308,9 @@ func New(opt Options) *Server {
 	}
 	if ckpt != nil {
 		if n, err := s.CompactCheckpoints(); err != nil {
-			s.logf("serve: checkpoint compaction: %v", err)
+			s.log.Warn("checkpoint compaction failed", "err", err)
 		} else if n > 0 {
-			s.logf("serve: compacted %d unrestorable checkpoints", n)
+			s.log.Info("compacted unrestorable checkpoints", "count", n)
 		}
 	}
 	if ckpt != nil && opt.CheckpointEvery > 0 {
@@ -329,14 +324,6 @@ func New(opt Options) *Server {
 // their bytes right now, and cumulative copy-on-write faults — the
 // memory-floor observability /v1/metrics exports.
 func (s *Server) QPoolStats() (pages, bytes, faults int64) { return s.qpool.Stats() }
-
-// logf keeps printf-style call sites alive on the structured logger;
-// new code should call s.log directly with key/value attrs.
-func (s *Server) logf(format string, args ...any) {
-	if s.log.Enabled(nil, slog.LevelInfo) {
-		s.log.Info(fmt.Sprintf(format, args...))
-	}
-}
 
 // Tracer exposes the server's span ring, for embedding harnesses and
 // the /v1/trace handlers. Never nil.
@@ -376,7 +363,7 @@ func (s *Server) Close() error {
 		s.closePeers()
 		if s.ckpt != nil {
 			n, e := s.CheckpointAll()
-			s.logf("serve: final checkpoint: %d sessions", n)
+			s.log.Info("final checkpoint", "sessions", n)
 			s.closeErr = e
 		}
 	})
@@ -393,9 +380,9 @@ func (s *Server) checkpointLoop() {
 			return
 		case <-t.C:
 			if n, err := s.CheckpointAll(); err != nil {
-				s.logf("serve: checkpoint sweep: %v", err)
+				s.log.Warn("checkpoint sweep failed", "err", err)
 			} else if n > 0 {
-				s.logf("serve: checkpointed %d sessions", n)
+				s.log.Info("checkpoint sweep", "sessions", n)
 			}
 		}
 	}
@@ -470,7 +457,7 @@ func (s *Server) checkpointSession(sess *session) (bool, error) {
 		sess.mu.Unlock()
 		return false, nil // nothing observed yet; keep any prior state
 	}
-	if epochs == sess.ckptEpochs && !s.opt.CheckpointEverySession {
+	if epochs == sess.ckptEpochs {
 		sess.mu.Unlock()
 		s.ckptSkipped.Add(1)
 		return false, nil // clean: the stored checkpoint already has this state
@@ -505,7 +492,7 @@ func (s *Server) checkpointSession(sess *session) (bool, error) {
 func (s *Server) undoSaveIfDeleted(sess *session) {
 	if cur, live := s.sessions.Get(sess.id); !live || cur != sess {
 		if err := s.ckpt.Delete(sess.id); err != nil {
-			s.logf("serve: removing checkpoint of deleted %s: %v", sess.id, err)
+			s.log.Warn("removing checkpoint of deleted session failed", "session", sess.id, "err", err)
 		}
 	}
 }
@@ -604,7 +591,7 @@ func (s *Server) CompactCheckpoints() (int, error) {
 			}
 			continue
 		}
-		s.logf("serve: compacted unrestorable checkpoint %s", id)
+		s.log.Info("compacted unrestorable checkpoint", "session", id)
 		removed++
 	}
 	return removed, firstErr
@@ -742,7 +729,7 @@ func (s *Server) createSession(req createRequest) (*session, int, error) {
 			if err := scenario.WarmStart(learner, bytes.NewReader(state)); err != nil {
 				return nil, 500, fmt.Errorf("warm-starting %s from checkpoint: %w", id, err)
 			}
-			s.logf("serve: session %s warm-started from its checkpoint", id)
+			s.log.Info("session warm-started from its checkpoint", "session", id)
 			staged = true
 		} else if !errors.Is(err, fs.ErrNotExist) {
 			return nil, 500, fmt.Errorf("reading %s checkpoint: %w", id, err)
@@ -758,7 +745,7 @@ func (s *Server) createSession(req createRequest) (*session, int, error) {
 				return nil, 400, fmt.Errorf("warm-starting %s from manifest %s: %w", id, manifestID, err)
 			}
 			warmFrom = manifestID
-			s.logf("serve: session %s warm-started from registry manifest %s", id, manifestID)
+			s.log.Info("session warm-started from registry", "session", id, "manifest", manifestID)
 		}
 	}
 
@@ -825,7 +812,8 @@ func (s *Server) resolveWarmStart(req createRequest, platName string) (state []b
 			return nil, "", 500, fmt.Errorf("resolving warm_start: %w", err)
 		}
 		if !ok {
-			s.logf("serve: no manifest near %s/%s/%s; starting cold", req.Governor, req.Workload, platName)
+			s.log.Info("no registry manifest near session; starting cold",
+				"governor", req.Governor, "workload", req.Workload, "platform", platName)
 			return nil, "", 0, nil
 		}
 		state, err := reg.StateOf(m)
@@ -922,7 +910,7 @@ func (s *Server) deleteSession(id string) bool {
 	reapSession(sess)
 	if s.ckpt != nil {
 		if err := s.ckpt.Delete(id); err != nil {
-			s.logf("serve: deleting %s checkpoint: %v", id, err)
+			s.log.Warn("deleting checkpoint failed", "session", id, "err", err)
 		}
 	}
 	return true

@@ -10,8 +10,8 @@ import (
 	"qgov/internal/trace"
 )
 
-// This file is the trace read side: GET /v1/trace on both tiers and the
-// binary OpTrace it rides on. A replica serves its own span ring; the
+// This file is the trace read side: the binary OpTrace, which GET
+// /v1/trace on both tiers rides on (http.go). A replica serves its own span ring; the
 // router serves its ring merged with every reachable replica's, so one
 // query against the router returns the stitched router→replica(→forward)
 // view of any sampled decide.
@@ -94,20 +94,6 @@ func (s *Server) traceSpans(body []byte) (uint16, []byte) {
 	return http.StatusOK, spansBody(s.tracer.Snapshot(f))
 }
 
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	q, err := traceQueryFromRequest(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	f, err := q.filter()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeControlResult(w, http.StatusOK, spansBody(s.tracer.Snapshot(f)))
-}
-
 // aggregateTrace answers OpTrace on the router: its own ring (route and
 // relay spans) merged with every reachable replica's, newest first, with
 // the filter's limit re-applied to the merged set. Replica spans whose
@@ -151,14 +137,4 @@ func (rt *Router) aggregateTrace(body []byte) (uint16, []byte) {
 		all = all[:f.Limit]
 	}
 	return http.StatusOK, spansBody(all)
-}
-
-func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
-	q, err := traceQueryFromRequest(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	status, body := rt.aggregateTrace(jsonBody(q))
-	writeControlResult(w, status, body)
 }

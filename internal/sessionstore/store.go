@@ -53,9 +53,8 @@ const defaultShards = 64
 // Sharded is the mutex-striped in-process Store: ids hash across
 // power-of-two shards, each an independently RW-locked map.
 type Sharded[V any] struct {
-	shards   []shard[V]
-	mask     uint64
-	noShrink bool
+	shards []shard[V]
+	mask   uint64
 }
 
 type shard[V any] struct {
@@ -147,9 +146,7 @@ func (s *Sharded[V]) Delete(id string) (V, bool) {
 	v, ok := sh.m[id]
 	if ok {
 		delete(sh.m, id)
-		if !s.noShrink {
-			sh.maybeShrinkLocked()
-		}
+		sh.maybeShrinkLocked()
 	}
 	return v, ok
 }
@@ -169,12 +166,6 @@ func (sh *shard[V]) maybeShrinkLocked() {
 	// shrinking instead of comparing against the old peak forever.
 	sh.hiWater = len(m)
 }
-
-// DisableShrink turns off the delete-storm map rebuild, restoring the
-// pre-fix behaviour where a shard retains bucket arrays sized for its peak
-// occupancy. It exists so the soak harness can measure the fix against its
-// baseline; call it before the store is shared between goroutines.
-func (s *Sharded[V]) DisableShrink() { s.noShrink = true }
 
 // Range implements Store: each shard is walked under its read lock, so
 // f runs with one stripe locked — it must be quick and must not touch
