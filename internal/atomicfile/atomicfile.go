@@ -23,12 +23,20 @@ const SweepAge = time.Hour
 // WriteFile atomically replaces path with data: the bytes land in a
 // temp file (tmpPrefix-named, in path's own directory — rename is only
 // atomic within one filesystem directory) and the rename publishes them.
-func WriteFile(path string, data []byte, tmpPrefix string) error {
+// The temp file is removed only when the write, close or rename fails:
+// after a successful rename its name is gone, and removing it again
+// would cost an unlink per write or, should a concurrent writer have
+// drawn the same name since, delete that writer's temp file.
+func WriteFile(path string, data []byte, tmpPrefix string) (err error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPrefix+"*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return err

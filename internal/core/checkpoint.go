@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"qgov/internal/governor"
+	"qgov/internal/qpage"
 )
 
 // The RTM family (rtm, rtm-percore, rtm-sarsa, updrl) checkpoints through
@@ -19,7 +21,9 @@ var _ governor.Checkpointer = (*RTM)(nil)
 // where it left off), the workload state-space range the tables were
 // trained against (Q-table rows are meaningless under a different
 // quantisation), and the ε schedule's position (a trained manager resumes
-// exploitation, not the hold-then-decay exploration phase).
+// exploitation, not the hold-then-decay exploration phase). LoadState
+// decodes through it; SaveState writes the same fields in the same order
+// through appendState.
 type rtmCheckpoint struct {
 	Kind       string    `json:"kind"`
 	Version    int       `json:"version"`
@@ -33,27 +37,58 @@ type rtmCheckpoint struct {
 	Tables     []*QTable `json:"tables"`
 }
 
-// SaveState implements governor.Checkpointer.
+// SaveState implements governor.Checkpointer. The output is byte for byte
+// what encoding/json's Encoder writes for rtmCheckpoint, newline included;
+// it is built by appending, into w's spare capacity when w is a
+// *bytes.Buffer, so a checkpoint sweep reusing one buffer allocates
+// nothing per session. On error nothing is written.
 func (r *RTM) SaveState(w io.Writer) error {
 	if len(r.tables) == 0 {
 		return fmt.Errorf("core: RTM has not run yet, nothing to save")
 	}
-	cp := rtmCheckpoint{
-		Kind:       "rtm",
-		Version:    1,
-		Mode:       r.cfg.Mode.String(),
-		Levels:     r.cfg.Levels,
-		CCMin:      r.space.CCMin,
-		CCMax:      r.space.CCMax,
-		Calibrated: r.calibrated,
-		Epsilon:    r.cfg.Epsilon.Epsilon(),
-		EpsEpoch:   r.cfg.Epsilon.Epoch(),
-		Tables:     r.tables,
+	b, err := r.appendState(availableBuffer(w))
+	if err != nil {
+		return fmt.Errorf("core: saving RTM state: %w", err)
 	}
-	if err := json.NewEncoder(w).Encode(cp); err != nil {
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("core: saving RTM state: %w", err)
 	}
 	return nil
+}
+
+// appendState appends the rtmCheckpoint encoding of the current state.
+func (r *RTM) appendState(b []byte) ([]byte, error) {
+	b = append(b, `{"kind":"rtm","version":1,"mode":"`...)
+	b = append(b, r.cfg.Mode.String()...)
+	b = append(b, `","levels":`...)
+	b = strconv.AppendInt(b, int64(r.cfg.Levels), 10)
+	b = append(b, `,"cc_min":`...)
+	b, err := qpage.AppendFloat(b, r.space.CCMin)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `,"cc_max":`...)
+	if b, err = qpage.AppendFloat(b, r.space.CCMax); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"calibrated":`...)
+	b = strconv.AppendBool(b, r.calibrated)
+	b = append(b, `,"epsilon":`...)
+	if b, err = qpage.AppendFloat(b, r.cfg.Epsilon.Epsilon()); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"epsilon_epoch":`...)
+	b = strconv.AppendInt(b, int64(r.cfg.Epsilon.Epoch()), 10)
+	b = append(b, `,"tables":[`...)
+	for i, t := range r.tables {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = t.appendJSON(b); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, "]}\n"...), nil
 }
 
 // LoadState implements governor.Checkpointer: it validates and stages the

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"qgov/internal/qpage"
 )
@@ -252,7 +253,9 @@ func (t *QTable) check(state, action int) {
 	}
 }
 
-// qtableJSON is the serialisation schema for learning transfer.
+// qtableJSON is the serialisation schema for learning transfer. Decoding
+// reads through it; encoding writes the same fields in the same order
+// through appendJSON.
 type qtableJSON struct {
 	States  int       `json:"states"`
 	Actions int       `json:"actions"`
@@ -260,12 +263,29 @@ type qtableJSON struct {
 	Visits  []int     `json:"visits"`
 }
 
+// appendJSON appends the table in the qtableJSON layout, byte for byte
+// what encoding/json writes for it. The paged storage is written flat:
+// the wire format is identical to the pre-paging layout. A non-finite
+// Q-value is an error and leaves b unchanged.
+func (t *QTable) appendJSON(b []byte) ([]byte, error) {
+	out := append(b, `{"states":`...)
+	out = strconv.AppendInt(out, int64(t.states), 10)
+	out = append(out, `,"actions":`...)
+	out = strconv.AppendInt(out, int64(t.actions), 10)
+	out = append(out, `,"q":`...)
+	out, err := t.tab.AppendQ(out)
+	if err != nil {
+		return b, err
+	}
+	out = append(out, `,"visits":`...)
+	out = t.tab.AppendV(out)
+	return append(out, '}'), nil
+}
+
 // MarshalJSON implements json.Marshaler, so a table embeds directly in
-// larger checkpoint envelopes (governor.Checkpointer payloads). The paged
-// storage is materialised flat: the wire format is identical to the
-// pre-paging layout, byte for byte.
+// larger checkpoint envelopes (governor.Checkpointer payloads).
 func (t *QTable) MarshalJSON() ([]byte, error) {
-	return json.Marshal(qtableJSON{States: t.states, Actions: t.actions, Q: t.tab.FlatQ(), Visits: t.tab.FlatV()})
+	return t.appendJSON(nil)
 }
 
 // UnmarshalJSON implements json.Unmarshaler with the same validation Load
@@ -307,12 +327,25 @@ func (t *QTable) UnmarshalJSON(b []byte) error {
 // [12]): a table learnt for one application run seeds the next, skipping
 // the exploration phase.
 func (t *QTable) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(t); err != nil {
+	b, err := t.appendJSON(availableBuffer(w))
+	if err != nil {
 		return fmt.Errorf("core: saving Q-table: %w", err)
 	}
-	return bw.Flush()
+	if _, err := w.Write(append(b, '\n')); err != nil {
+		return fmt.Errorf("core: saving Q-table: %w", err)
+	}
+	return nil
+}
+
+// availableBuffer returns the spare capacity of w when w is a
+// *bytes.Buffer, so an encoder appending into it and then writing the
+// result back copies nothing and, with capacity to spare, allocates
+// nothing. For any other writer it returns nil.
+func availableBuffer(w io.Writer) []byte {
+	if buf, ok := w.(*bytes.Buffer); ok {
+		return buf.AvailableBuffer()
+	}
+	return nil
 }
 
 // Load restores a table saved with Save, rejecting inconsistent dimensions

@@ -127,15 +127,23 @@ type RTM struct {
 	epoch      int
 
 	// Per-epoch scratch, reused so Decide allocates nothing in steady
-	// state (the explHist append amortises to zero).
+	// state.
 	fpScratch   []int
 	predScratch []float64
 
 	explorations  int
 	exploredPairs []uint64 // distinct (table, state, action) experiments, one bit each
-	explHist      []int32  // cumulative explorations after each epoch
-	calibrated    bool
-	ccSeen        bool // auto-ranging primed
+	// explRing holds the cumulative exploration count after each of the
+	// last tracker-window epochs, at epoch % len(explRing). The tracker's
+	// convergence epoch is the start of its current window, so it always
+	// lies inside the ring when it is set; explAtConv latches the count
+	// there, and per-session state stays O(1) however long the session
+	// decides.
+	explRing   []int32
+	convAt     int // tracker.ConvergedAt() as of the last latch
+	explAtConv int
+	calibrated bool
+	ccSeen     bool // auto-ranging primed
 
 	// restored is the staged Checkpointer state; Reset applies it (see
 	// LoadState in checkpoint.go).
@@ -183,17 +191,10 @@ func (r *RTM) DecisionOverheadS() float64 { return r.cfg.OverheadS }
 // the slack-directed EPD concentrates on the candidates that can matter.
 func (r *RTM) Explorations() int { return r.explorations }
 
-// ExplorationsAt implements governor.ExplorationCurve: the cumulative
-// exploration count after the given epoch completed.
-func (r *RTM) ExplorationsAt(epoch int) int {
-	if epoch < 0 || len(r.explHist) == 0 {
-		return 0
-	}
-	if epoch >= len(r.explHist) {
-		return r.explorations
-	}
-	return int(r.explHist[epoch])
-}
+// ExplorationsAtConvergence implements governor.ExplorationCurve: the
+// cumulative exploration count after the epoch ConvergedAtEpoch reports.
+// It is meaningful only while ConvergedAtEpoch is non-negative.
+func (r *RTM) ExplorationsAtConvergence() int { return r.explAtConv }
 
 // ConvergedAtEpoch implements governor.LearningStats.
 func (r *RTM) ConvergedAtEpoch() int { return r.tracker.ConvergedAt() }
@@ -358,7 +359,9 @@ func (r *RTM) Reset(ctx governor.Context) {
 	r.epoch = 0
 	r.explorations = 0
 	r.exploredPairs = make([]uint64, (nTables*nStates*nActions+63)/64)
-	r.explHist = nil
+	r.explRing = make([]int32, r.tracker.StableEpochs)
+	r.convAt = -1
+	r.explAtConv = 0
 	r.ccSeen = false
 	if r.restored != nil && r.restored.CCMax > r.restored.CCMin {
 		// The restored tables were trained against the checkpointed range:
@@ -417,6 +420,8 @@ func (r *RTM) Decide(obs governor.Observation) int {
 		panic(fmt.Sprintf("core: unknown mode %v", r.cfg.Mode))
 	}
 
+	r.explRing[r.epoch%len(r.explRing)] = int32(r.explorations)
+
 	// ε advances on the epoch's own slack error plus the learning-progress
 	// signal: a quiet greedy policy accelerates the decay (Eq. 6's purpose
 	// — hand over to exploitation once learning stops moving). This is
@@ -425,7 +430,12 @@ func (r *RTM) Decide(obs governor.Observation) int {
 	// collapses with it.
 	r.tracker.Observe(r.greedyFingerprint())
 	r.cfg.Epsilon.Advance(inst-r.cfg.Reward.Target, r.tracker.Quiet())
-	r.explHist = append(r.explHist, int32(r.explorations))
+	if c := r.tracker.ConvergedAt(); c != r.convAt {
+		r.convAt = c
+		if c >= 0 {
+			r.explAtConv = int(r.explRing[c%len(r.explRing)])
+		}
+	}
 	r.epoch++
 	r.prevAction = action
 	return action

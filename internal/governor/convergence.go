@@ -37,13 +37,15 @@ type ExplorationStats interface {
 }
 
 // ExplorationCurve is implemented by learners that record their cumulative
-// exploration count per epoch, so the harness can report explorations
-// *before convergence* — the Table II quantity: exploratory decisions spent
-// getting to a stable policy, not the asymptotic tail after it.
+// exploration count at the convergence epoch, so the harness can report
+// explorations *before convergence* — the Table II quantity: exploratory
+// decisions spent getting to a stable policy, not the asymptotic tail
+// after it.
 type ExplorationCurve interface {
-	// ExplorationsAt returns the cumulative exploration count after the
-	// given epoch completed; past the last epoch it returns the total.
-	ExplorationsAt(epoch int) int
+	// ExplorationsAtConvergence returns the cumulative exploration count
+	// after the epoch ConvergedAtEpoch reports. It is meaningful only
+	// while that epoch is non-negative.
+	ExplorationsAtConvergence() int
 }
 
 // ConvergenceTracker reports when the greedy policy stabilised: the start

@@ -1,10 +1,12 @@
 package governor
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"qgov/internal/qpage"
 	"qgov/internal/xrand"
@@ -190,7 +192,9 @@ func (g *MLDTM) Reset(ctx Context) {
 // mldtmCheckpoint is the ML-DTM's Checkpointer payload: every core's value
 // table with visit counts, flattened [core][band][action] row-major, plus
 // the epoch clock that drives the ε decay — a warm-started controller
-// resumes at the decayed exploration rate, not ε₀.
+// resumes at the decayed exploration rate, not ε₀. LoadState decodes
+// through it; SaveState writes the same fields in the same order through
+// appendState.
 type mldtmCheckpoint struct {
 	Kind    string    `json:"kind"`
 	Version int       `json:"version"`
@@ -202,27 +206,48 @@ type mldtmCheckpoint struct {
 	Epoch   int       `json:"epoch"`
 }
 
-// SaveState implements Checkpointer. The paged table materialises flat in
+// SaveState implements Checkpointer. The paged table is written flat in
 // [core][band][action] row-major order — exactly the packed row layout —
-// so the wire format is unchanged from the pre-paging encoding.
+// so the wire format is unchanged from the pre-paging encoding. The
+// output is byte for byte what encoding/json's Encoder writes for
+// mldtmCheckpoint, appended into w's spare capacity when w is a
+// *bytes.Buffer. On error nothing is written.
 func (g *MLDTM) SaveState(w io.Writer) error {
 	if g.tab == nil {
 		return fmt.Errorf("governor: mldtm has not run yet, nothing to save")
 	}
-	cp := mldtmCheckpoint{
-		Kind:    "mldtm",
-		Version: 1,
-		Cores:   g.ctx.NumCores,
-		Bands:   g.UtilBands,
-		Actions: g.ctx.Table.Len(),
-		Epoch:   g.epoch,
-		Q:       g.tab.FlatQ(),
-		Visits:  g.tab.FlatV(),
+	var b []byte
+	if buf, ok := w.(*bytes.Buffer); ok {
+		b = buf.AvailableBuffer()
 	}
-	if err := json.NewEncoder(w).Encode(cp); err != nil {
+	b, err := g.appendState(b)
+	if err != nil {
+		return fmt.Errorf("governor: saving mldtm state: %w", err)
+	}
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("governor: saving mldtm state: %w", err)
 	}
 	return nil
+}
+
+// appendState appends the mldtmCheckpoint encoding of the current state.
+func (g *MLDTM) appendState(b []byte) ([]byte, error) {
+	b = append(b, `{"kind":"mldtm","version":1,"cores":`...)
+	b = strconv.AppendInt(b, int64(g.ctx.NumCores), 10)
+	b = append(b, `,"bands":`...)
+	b = strconv.AppendInt(b, int64(g.UtilBands), 10)
+	b = append(b, `,"actions":`...)
+	b = strconv.AppendInt(b, int64(g.ctx.Table.Len()), 10)
+	b = append(b, `,"q":`...)
+	b, err := g.tab.AppendQ(b)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `,"visits":`...)
+	b = g.tab.AppendV(b)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendInt(b, int64(g.epoch), 10)
+	return append(b, "}\n"...), nil
 }
 
 // LoadState implements Checkpointer: validate, then stage for the next

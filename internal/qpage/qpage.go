@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -50,7 +51,8 @@ type Page struct {
 	// V holds visit counts as int32: 2^31 visits per state–action pair
 	// is beyond any session lifetime, and the narrower lane halves the
 	// second-largest slab of per-session COW memory. The checkpoint
-	// surface (FlatV/FromFlat) stays []int, so nothing serialised changes.
+	// surface (AppendV/FromFlat) spells them as plain integers, so nothing
+	// serialised changes.
 	V []int32
 
 	pooled bool
@@ -347,27 +349,66 @@ func (t *Table) Release() {
 	}
 }
 
-// FlatQ materialises the values into one flat row-major slice — the
+// AppendQ appends the values as one flat row-major JSON array — the
 // checkpoint serialisation path, where the wire format must stay exactly
-// the pre-paging flat layout.
-func (t *Table) FlatQ() []float64 {
-	out := make([]float64, t.rows*t.cols)
+// the pre-paging flat layout. A NaN or ±Inf value is an error (JSON has
+// no spelling for it), and the returned slice is then b unchanged.
+func (t *Table) AppendQ(b []byte) ([]byte, error) {
+	out := append(b, '[')
 	for r := 0; r < t.rows; r++ {
-		copy(out[r*t.cols:(r+1)*t.cols], t.Row(r))
-	}
-	return out
-}
-
-// FlatV materialises the visit counts into one flat row-major slice.
-func (t *Table) FlatV() []int {
-	out := make([]int, t.rows*t.cols)
-	for r := 0; r < t.rows; r++ {
-		row := t.VRow(r)
-		for c, vc := range row {
-			out[r*t.cols+c] = int(vc)
+		for c, q := range t.Row(r) {
+			if r > 0 || c > 0 {
+				out = append(out, ',')
+			}
+			var err error
+			if out, err = AppendFloat(out, q); err != nil {
+				return b, err
+			}
 		}
 	}
-	return out
+	return append(out, ']'), nil
+}
+
+// AppendV appends the visit counts as one flat row-major JSON array.
+func (t *Table) AppendV(b []byte) []byte {
+	b = append(b, '[')
+	for r := 0; r < t.rows; r++ {
+		for c, v := range t.VRow(r) {
+			if r > 0 || c > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+	}
+	return append(b, ']')
+}
+
+// AppendFloat appends f exactly as encoding/json spells a float64: the
+// shortest round-tripping decimal, in exponent form below 1e-6 and from
+// 1e21 up with the exponent's leading zero dropped (1e-7, not 1e-07).
+// NaN and ±Inf are errors, as they are for encoding/json.
+func AppendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, fmt.Errorf("qpage: unsupported value: %v", f)
+	}
+	abs := math.Abs(f)
+	if abs < 1e15 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
+		// Integral and below 2^50: the shortest decimal is the integer's
+		// own digits. −0 takes the general path, which keeps its sign.
+		return strconv.AppendInt(b, int64(f), 10), nil
+	}
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }
 
 // SharedPages counts how many of t's page references are pooled (shared),

@@ -1,6 +1,7 @@
 package qpage
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 )
@@ -108,7 +109,21 @@ func TestFlatRoundTrip(t *testing.T) {
 	p := NewPool()
 	tab.Intern(p)
 	cl := tab.Clone()
-	fq, fv := cl.FlatQ(), cl.FlatV()
+	qb, err := cl.AppendQ(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fq []float64
+	var fv []int
+	if err := json.Unmarshal(qb, &fq); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(cl.AppendV(nil), &fv); err != nil {
+		t.Fatal(err)
+	}
+	if len(fq) != len(q) || len(fv) != len(v) {
+		t.Fatalf("flat round trip has %d values, %d visits, want %d", len(fq), len(fv), len(q))
+	}
 	for i := range q {
 		if fq[i] != q[i] || fv[i] != v[i] {
 			t.Fatalf("flat round trip diverged at %d: %v/%d vs %v/%d", i, fq[i], fv[i], q[i], v[i])
@@ -165,7 +180,7 @@ func TestConcurrentCloneFaultRelease(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				tab := base.Clone()
-				if got := tab.Row(w % 25)[w % 19]; got != -1 {
+				if got := tab.Row(w % 25)[w%19]; got != -1 {
 					panic("clone saw torn base content")
 				}
 				q, v := tab.MutRow((w + i) % 25)

@@ -263,6 +263,34 @@ func TestCheckpointsAdapterContract(t *testing.T) {
 	}
 }
 
+// Save must not retain the caller's bytes: the checkpoint sweep reuses one
+// encode buffer for every session, so a store keeping a reference would
+// hand back whatever was encoded into the buffer next.
+func TestCheckpointStoreSaveDoesNotRetain(t *testing.T) {
+	dir, err := sessionstore.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := map[string]sessionstore.CheckpointStore{"sessionstore-dir": dir}
+	for name, b := range stores(t) {
+		all["registry-"+name] = registry.Checkpoints(b)
+	}
+	for name, cs := range all {
+		t.Run(name, func(t *testing.T) {
+			buf := []byte(`{"kind":"rtm","state":1}`)
+			want := string(buf)
+			if err := cs.Save("s0", buf); err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, bytes.Repeat([]byte("x"), len(buf)))
+			got, err := cs.Load("s0")
+			if err != nil || string(got) != want {
+				t.Fatalf("Load after the caller overwrote its buffer = %q, %v; want %q", got, err, want)
+			}
+		})
+	}
+}
+
 // Key hygiene: traversal-shaped and malformed keys must be rejected by
 // both stores before they touch storage.
 func TestBlobKeyValidation(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -40,7 +41,11 @@ func benchBatch(ids []string) []byte {
 }
 
 func benchServer(tb testing.TB, sessions int) (*serve.Server, *httptest.Server, []string, func()) {
-	srv := serve.New(serve.Options{})
+	return benchServerOpts(tb, sessions, serve.Options{})
+}
+
+func benchServerOpts(tb testing.TB, sessions int, opt serve.Options) (*serve.Server, *httptest.Server, []string, func()) {
+	srv := serve.New(opt)
 	ts := httptest.NewServer(srv.Handler())
 	ids := make([]string, sessions)
 	for i := range ids {
@@ -152,6 +157,42 @@ func BenchmarkBinaryDecideThroughput(b *testing.B) {
 	total := float64(sessions) * float64(b.N)
 	b.ReportMetric(total/b.Elapsed().Seconds(), "decisions/s")
 	b.ReportMetric(float64(sessions), "batch")
+}
+
+// BenchmarkCheckpointSweep measures one all-dirty checkpoint sweep of
+// 2,000 RTM sessions (5 decides each before the first sweep, one more
+// before every later one) into a checkpoint directory: encode under the
+// session lock plus the atomic file write, per session. B/session is the
+// heap the sweep allocates, the garbage a periodic sweep leaves behind.
+func BenchmarkCheckpointSweep(b *testing.B) {
+	const sessions = 2000
+	srv, ts, ids, stop := benchServerOpts(b, sessions, serve.Options{CheckpointDir: b.TempDir()})
+	defer stop()
+	body := benchBatch(ids)
+	for i := 0; i < 4; i++ {
+		postBatch(b, ts, body)
+	}
+	var before, after runtime.MemStats
+	var allocated uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		postBatch(b, ts, body) // dirty every session
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		n, err := srv.CheckpointAll()
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		allocated += after.TotalAlloc - before.TotalAlloc
+		if err != nil || n != sessions {
+			b.Fatalf("sweep wrote %d of %d sessions: %v", n, sessions, err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	per := float64(b.N) * sessions
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/session")
+	b.ReportMetric(float64(allocated)/per, "B/session")
 }
 
 // The throughput floor as a plain test, far below the benchmark's real

@@ -413,12 +413,16 @@ func (s *Server) snapshotSessions() []*session {
 
 // CheckpointAll freezes every checkpointable session into the checkpoint
 // store and returns how many were written. The first error is returned
-// after attempting the rest.
+// after attempting the rest. Every session is encoded into one buffer,
+// reset between sessions, so a sweep allocates its encode space once
+// (the store's Save does not retain it).
 func (s *Server) CheckpointAll() (int, error) {
 	var n int
 	var firstErr error
+	var buf bytes.Buffer
 	for _, sess := range s.snapshotSessions() {
-		wrote, err := s.checkpointSession(sess)
+		buf.Reset()
+		wrote, err := s.checkpointSession(sess, &buf)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -429,9 +433,9 @@ func (s *Server) CheckpointAll() (int, error) {
 	return n, firstErr
 }
 
-// checkpointSession freezes one session's state to the store; sessions
-// whose governor keeps no learnt state (or that have not decided yet)
-// are skipped without error. Sessions whose state is already on disk —
+// checkpointSession freezes one session's state to the store, encoding
+// it into buf; sessions whose governor keeps no learnt state (or that
+// have not decided yet) are skipped without error. Sessions whose state is already on disk —
 // no decide since the last write — are skipped too and counted: under a
 // mostly-idle fleet the periodic sweep would otherwise re-serialise and
 // re-write every session every interval, and that write amplification
@@ -439,12 +443,11 @@ func (s *Server) CheckpointAll() (int, error) {
 // the same lock as SaveState is the dirty generation, so a decide
 // landing after the capture re-dirties the session rather than being
 // marked clean.
-func (s *Server) checkpointSession(sess *session) (bool, error) {
+func (s *Server) checkpointSession(sess *session, buf *bytes.Buffer) (bool, error) {
 	cp, ok := sess.learner.(governor.Checkpointer)
 	if !ok || s.ckpt == nil {
 		return false, nil
 	}
-	var buf bytes.Buffer
 	sess.mu.Lock()
 	if sess.dead {
 		// Deleted since the sweep snapshot: state released, checkpoint
@@ -462,7 +465,7 @@ func (s *Server) checkpointSession(sess *session) (bool, error) {
 		s.ckptSkipped.Add(1)
 		return false, nil // clean: the stored checkpoint already has this state
 	}
-	err := cp.SaveState(&buf)
+	err := cp.SaveState(buf)
 	sess.mu.Unlock()
 	if err != nil {
 		return false, fmt.Errorf("serve: freezing %s: %w", sess.id, err)

@@ -19,8 +19,13 @@ import (
 //
 // Save must be atomic with respect to Load: a concurrent Load returns
 // either the previous checkpoint or the new one, never a torn write.
+//
+// Save must not retain state after it returns: the checkpoint sweep
+// encodes every session into one reused buffer, so the bytes change under
+// any reference kept past the call.
 type CheckpointStore interface {
-	// Save durably replaces the checkpoint for id.
+	// Save durably replaces the checkpoint for id. It must not retain
+	// state after it returns.
 	Save(id string, state []byte) error
 	// Load returns the checkpoint for id, or an error satisfying
 	// errors.Is(err, fs.ErrNotExist) when none exists.

@@ -247,7 +247,7 @@ func (s *Session) Result() *Result {
 		s.res.ConvergedAt = ls.ConvergedAtEpoch()
 		s.res.ExplorationsToConv = s.res.Explorations
 		if curve, ok := s.cfg.Governor.(governor.ExplorationCurve); ok && s.res.ConvergedAt >= 0 {
-			s.res.ExplorationsToConv = curve.ExplorationsAt(s.res.ConvergedAt)
+			s.res.ExplorationsToConv = curve.ExplorationsAtConvergence()
 		}
 	}
 	return s.res
