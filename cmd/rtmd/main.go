@@ -36,9 +36,9 @@
 // four batches stay in flight per inbound connection.
 // -conns-per-replica opens N connections per replica and stripes
 // relayed batches across them. Point every replica at the same
-// -checkpoint-dir (shared storage) and sessions can hand off between
-// replicas by checkpoint/restore. Clients talk to a router exactly as
-// they would to a flat rtmd.
+// -checkpoint-dir or -registry-dir (shared storage) and sessions can
+// move between replicas by a restart reshard (below). Clients talk to a
+// router exactly as they would to a flat rtmd.
 //
 // -fleet turns rtmd into a ring-aware direct bench client instead of a
 // server: it fetches the membership table from the given router's
@@ -58,7 +58,8 @@
 // -registry-dir points the replica at a checkpoint-registry blob store
 // (internal/registry) instead of a plain checkpoint directory: session
 // checkpoints live beside the registry's published manifests, replicas
-// sharing the store hand sessions off through it, and session creates
+// sharing the store pick up each other's sessions after a reshard, and
+// session creates
 // may carry warm_start ("auto" or a manifest id) to start from the
 // fleet's pooled training. -ring-self/-ring-members tell a routed
 // replica which consistent-hash shards it owns, so its startup
@@ -66,6 +67,27 @@
 // both flags must carry the router's -replicas address strings verbatim
 // — the ring hashes member strings, so "host1:8091" and "10.0.0.1:8091"
 // are different members even when they name the same machine.
+//
+// A router's ring is fixed for its lifetime: resharding (adding or
+// removing replicas) is a restart over the shared store.
+//
+//  1. Stop every rtmd gracefully (SIGINT/SIGTERM), the replicas too,
+//     so each replica's final sweep checkpoints every session it
+//     holds. A replica left running would keep the old router's
+//     membership table and forward misrouted decides by it.
+//  2. Start the replicas with one shared -registry-dir (or
+//     -checkpoint-dir), each with its own -ring-self and all with the
+//     same new -ring-members list.
+//  3. Start rtmd -route -replicas with that same list.
+//  4. Re-create each session id (its original create body will do): the
+//     replica the new ring places it on warm-starts it from its
+//     checkpoint.
+//
+// A restart is a warm start, not an exact resume: the checkpoint brings
+// back the Q-tables, visit counts, calibration range and ε position,
+// but the RNG, the workload predictors, the slack window and the
+// in-flight transition start afresh, so decisions after the restart
+// can differ from an uninterrupted run.
 package main
 
 import (

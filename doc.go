@@ -51,10 +51,9 @@
 //	                     checkpoints through a pluggable
 //	                     CheckpointStore, and a consistent-hash Router
 //	                     that shards sessions across a replica fleet
-//	                     with checkpoint/restore hand-off — elastic in
-//	                     both directions while serving (AddReplica /
-//	                     RemoveReplica bump a membership epoch pushed
-//	                     to every replica), health-probed with
+//	                     on a ring fixed for the router's lifetime
+//	                     (resharding is a restart over shared
+//	                     checkpoints; see cmd/rtmd), health-probed with
 //	                     automatic replica reconnect, and degrading
 //	                     gracefully (per-replica status in /healthz,
 //	                     partial aggregates) when members fail

@@ -76,6 +76,9 @@ type MLDTM struct {
 	epoch        int
 	explorations int
 	tracker      *ConvergenceTracker
+	// fpScratch backs greedyPolicy's fingerprint across decides; the
+	// tracker copies what it keeps, so reusing it is safe.
+	fpScratch []int
 
 	// restored is the staged Checkpointer state; Reset applies it.
 	// restoredTab is the staged table interned on first apply — every
@@ -418,7 +421,7 @@ func (g *MLDTM) Decide(obs Observation) int {
 // the same notion of stability on both sides.
 func (g *MLDTM) greedyPolicy() []int {
 	const minRowVisits = 20
-	out := make([]int, 0, len(g.greedy)*g.UtilBands)
+	out := g.fpScratch[:0]
 	for c, per := range g.greedy {
 		for s, a := range per {
 			var rowVisits int
@@ -432,6 +435,7 @@ func (g *MLDTM) greedyPolicy() []int {
 			}
 		}
 	}
+	g.fpScratch = out
 	return out
 }
 

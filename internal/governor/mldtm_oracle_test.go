@@ -108,3 +108,21 @@ func TestMLDTMSaveStateIntoSizedBufferDoesNotAllocate(t *testing.T) {
 		t.Fatalf("SaveState into a sized buffer allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// A trained controller decides without allocating: the greedy-policy
+// fingerprint fed to the convergence tracker reuses one scratch slice.
+func TestMLDTMDecideDoesNotAllocate(t *testing.T) {
+	g := trainMLDTM(1000)
+	p := g.ctx.PeriodS
+	obs := Observation{
+		Epoch: 1000, Util: []float64{0.6, 0.7, 0.5, 0.8}, ExecTimeS: 0.6 * p,
+		PeriodS: p, WallTimeS: p, PowerW: 2, TempC: 50,
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		obs.OPPIdx = g.Decide(obs)
+		obs.Epoch++
+	})
+	if allocs != 0 {
+		t.Fatalf("MLDTM.Decide allocates %.1f times per call, want 0", allocs)
+	}
+}

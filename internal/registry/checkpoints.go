@@ -10,8 +10,8 @@ import (
 // session state lives under session/<id> beside the registry's
 // manifests and blobs, so one shared store carries both the fleet's
 // published policies and its live session checkpoints. Replicas pointed
-// at the same store hand sessions off through it exactly as they would
-// through a shared directory — the router's RemoveReplica needs no
+// at the same store pick up each other's sessions after a restart
+// reshard exactly as they would through a shared directory, with no
 // common filesystem.
 type checkpoints struct {
 	b BlobStore

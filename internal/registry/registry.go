@@ -21,8 +21,8 @@
 //     be verified against its manifest;
 //   - session checkpoints: Checkpoints adapts the same store to
 //     sessionstore.CheckpointStore, so router replicas share session
-//     state through the registry instead of a common directory and
-//     RemoveReplica hand-off works across machines.
+//     state through the registry instead of a common directory, and a
+//     restart reshard works across machines.
 package registry
 
 import (

@@ -50,8 +50,6 @@ type createRequest struct {
 	// session's own checkpoint (a re-created id resumes its exact learnt
 	// policy) both take precedence; when neither exists the registry
 	// resolves it, and the server having no registry is then an error.
-	// Alongside inline State, a non-"auto" value is recorded as the
-	// session's warm_manifest provenance (the router's hand-off path).
 	WarmStart string `json:"warm_start,omitempty"`
 	// ThermalCapMW, when positive, wraps the governor in a per-session
 	// power cap (governor.ThermalCap in power-only form): sensed epoch
@@ -185,8 +183,8 @@ func (s *Server) freezeSession(sess *session) ([]byte, int, error) {
 }
 
 // checkpointResponse is the body of a successful checkpoint: the frozen
-// state inline, so a caller (the router's hand-off, a backup job) can
-// carry it without touching the checkpoint store.
+// state inline, so a caller (a backup job, a migration script) can carry
+// it without touching the checkpoint store.
 type checkpointResponse struct {
 	Session string          `json:"session"`
 	State   json.RawMessage `json:"state"`
@@ -421,9 +419,8 @@ func (s *Server) listInfos() []sessionInfo {
 
 // healthJSON is the /healthz body on both control planes: liveness plus
 // O(1) counters. MemberEpoch is the replica's installed membership epoch
-// — the router's prober compares it against the fleet epoch and
-// re-pushes the table to a replica that restarted (and so came back with
-// epoch 0).
+// — the router's prober compares it against its own and re-pushes the
+// table to a replica that restarted (and so came back with epoch 0).
 type healthJSON struct {
 	Status      string `json:"status"`
 	Sessions    int    `json:"sessions"`

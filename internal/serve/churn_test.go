@@ -111,7 +111,7 @@ func TestChurnFlatMatchesOracle(t *testing.T) {
 }
 
 // TestChurnRouterMatchesOracle repeats the oracle equivalence through a
-// 3-replica router: sharded ownership, hand-offs and all.
+// 3-replica router: sharded ownership and relayed controls.
 func TestChurnRouterMatchesOracle(t *testing.T) {
 	want := oracleReport(t)
 

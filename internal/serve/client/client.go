@@ -94,10 +94,6 @@ type Client struct {
 
 	conns []*conn
 	next  atomic.Uint32 // round-robin batch striping across conns
-
-	// lastEpoch is the highest membership epoch seen in any decide reply
-	// on any connection (monotonic; 0 until a fleet replica answers).
-	lastEpoch atomic.Uint32
 }
 
 // conn is one TCP connection of a Client: its write half, its pending
@@ -106,7 +102,6 @@ type Client struct {
 // arrived on — so connections fail independently: a poisoned conn
 // releases only its own waiters.
 type conn struct {
-	cl *Client
 	nc net.Conn
 
 	// wmu serialises the write half: frame encoding into enc and the
@@ -166,7 +161,6 @@ func DialOpts(addr string, opt DialOptions) (*Client, error) {
 			return nil, err
 		}
 		cn := &conn{
-			cl:          c,
 			nc:          nc,
 			bw:          bufio.NewWriterSize(nc, 64<<10),
 			pending:     make(map[uint32]*batchCall),
@@ -307,12 +301,6 @@ func (c *Client) ForwardBatch(sessions [][]byte, obs []governor.Observation, out
 	}
 	return decideBatch(c, sessions, obs, out, wire.FlagForwarded, traces)
 }
-
-// LastMemberEpoch returns the highest membership epoch observed in any
-// decide reply on this client — 0 until a fleet replica has answered. A
-// Fleet compares it against its own table's epoch to detect a ring
-// change from the data plane alone.
-func (c *Client) LastMemberEpoch() uint32 { return c.lastEpoch.Load() }
 
 // reserve claims a batch handle on this connection and publishes bc
 // under it, before any frame can be answered. Handles wrap after 2^20
@@ -631,14 +619,6 @@ func (cn *conn) readLoop() {
 			if err := m.Decode(payload); err != nil {
 				cn.fail(err)
 				return
-			}
-			// Track the server's membership epoch monotonically; replies
-			// may be routed to this point from frames decoded in any order.
-			for {
-				cur := cn.cl.lastEpoch.Load()
-				if m.MemberEpoch <= cur || cn.cl.lastEpoch.CompareAndSwap(cur, m.MemberEpoch) {
-					break
-				}
 			}
 			handle, idx := m.ID>>indexBits, int(m.ID&(MaxBatch-1))
 			cn.mu.Lock()

@@ -23,14 +23,11 @@ import (
 // The router remains the control plane: session create/delete/info,
 // metrics, listing, and membership all go through it, so a Fleet never
 // disagrees with the router about where a session *should* live — only,
-// transiently, about where it *does*. Three mechanisms bound that
-// window:
+// transiently, about which members are reachable. Two mechanisms bound
+// that window:
 //
-//   - every decide reply carries the replica's installed membership
-//     epoch; seeing one newer than the Fleet's table triggers a refetch,
-//   - a replica that no longer holds a session forwards the decide to
-//     the ring owner itself (one hop, never a loop), so a stale Fleet
-//     still gets correct answers while it refreshes,
+//   - a replica that does not hold a session forwards the decide to the
+//     ring owner itself (one hop, never a loop),
 //   - any owner that cannot be reached directly falls back to the
 //     router for that group, which also triggers a refetch.
 //
@@ -230,7 +227,6 @@ func (f *Fleet) DecideBatch(sessions []string, obs []governor.Observation, out [
 	}
 
 	f.mu.RLock()
-	epoch := f.epoch
 	rg := f.ring
 	router := f.router
 	type group struct {
@@ -269,11 +265,10 @@ func (f *Fleet) DecideBatch(sessions []string, obs []governor.Observation, out [
 			err := g.cl.DecideBatch(sessions, obs, out)
 			if err != nil {
 				err = router.DecideBatch(sessions, obs, out)
-				f.maybeRefresh(epoch, true)
+				f.Refresh() //nolint:errcheck // best effort, as below
 				return err
 			}
 		}
-		f.maybeRefresh(epoch, false)
 		return nil
 	}
 
@@ -318,34 +313,13 @@ func (f *Fleet) DecideBatch(sessions []string, obs []governor.Observation, out [
 	}
 	wg.Wait()
 
-	f.maybeRefresh(epoch, fellBack)
+	// A fallback is how a Fleet notices a member that went down (or came
+	// back): refetch the table. Refresh errors are dropped — the batch
+	// already has its answers, and the next fallback retries.
+	if fellBack {
+		f.Refresh() //nolint:errcheck // best effort
+	}
 	return firstErr
-}
-
-// maybeRefresh refetches the table when the data plane has signalled
-// it is stale: a reply carried a newer epoch than the installed table,
-// or a direct send had to fall back to the router. Refresh errors are
-// dropped — the batch already has its answers, and the next refresh
-// trigger retries.
-func (f *Fleet) maybeRefresh(sentEpoch uint32, fellBack bool) {
-	stale := fellBack
-	if !stale {
-		f.mu.RLock()
-		if f.router.LastMemberEpoch() > sentEpoch {
-			stale = true
-		} else {
-			for _, cl := range f.conns {
-				if cl.LastMemberEpoch() > sentEpoch {
-					stale = true
-					break
-				}
-			}
-		}
-		f.mu.RUnlock()
-	}
-	if stale {
-		f.Refresh() //nolint:errcheck // best effort; the next stale signal retries
-	}
 }
 
 // Control runs one control-plane operation through the router — the

@@ -15,14 +15,14 @@ import (
 
 // This file is the replica's side of fleet membership. The router pushes
 // the membership table (a wire.Members document) to every replica via
-// OpMembers on each ring change; the replica installs it, stamps its
-// epoch into every decide reply, and — when a stale direct client sends
-// a decide for a session the ring places elsewhere — forwards the
-// request to the owner instead of failing it. Forwarded frames carry
-// wire.FlagForwarded and are never relayed a second time, so transient
-// disagreement between two replicas' tables costs one extra hop, not a
-// loop. A flat server outside any fleet has no table: epoch 0, no
-// forwarding, exactly the old behaviour.
+// OpMembers when it starts and whenever a replica restarts; the replica
+// installs it, stamps its epoch into every decide reply, and — when a
+// direct client sends a decide for a session the ring places elsewhere
+// — forwards the request to the owner instead of failing it. Forwarded
+// frames carry wire.FlagForwarded and are never relayed a second time,
+// so a disagreement between two replicas' tables costs one extra hop,
+// not a loop. A flat server outside any fleet has no table: epoch 0, no
+// forwarding.
 
 // fleetView is one installed membership table with the ring built from
 // it. Immutable once installed; installs swap the whole view.
@@ -60,9 +60,9 @@ func (s *Server) membersTable() wire.Members {
 }
 
 // installMembers answers an OpMembers push: it installs the table if it
-// is newer than the current one and drops peer connections to members no
-// longer on the ring. Stale pushes (an older epoch racing a newer one)
-// are ignored; the reply body always carries the table now in force.
+// is newer than the current one. Stale pushes (an older epoch, or a
+// re-push of the same one) are ignored; the reply body always carries
+// the table now in force.
 func (s *Server) installMembers(msg wire.Members) (uint16, []byte) {
 	if msg.Epoch == 0 || len(msg.Members) == 0 {
 		return http.StatusBadRequest, errorBody(errf("members push needs a non-zero epoch and at least one member"))
@@ -78,7 +78,6 @@ func (s *Server) installMembers(msg wire.Members) (uint16, []byte) {
 		return http.StatusBadRequest, errorBody(errf("self %q is not in the member list", msg.Self))
 	}
 
-	var stale []*client.Client
 	s.fleetMu.Lock()
 	if s.fleet != nil && msg.Epoch <= s.fleet.table.Epoch {
 		cur := s.fleet.table
@@ -86,17 +85,8 @@ func (s *Server) installMembers(msg wire.Members) (uint16, []byte) {
 		return http.StatusOK, jsonBody(cur)
 	}
 	s.fleet = &fleetView{table: msg, ring: ring.New(msg.VNodes, msg.Members...)}
-	for addr, cl := range s.peers {
-		if !s.fleet.ring.Has(addr) {
-			delete(s.peers, addr)
-			stale = append(stale, cl)
-		}
-	}
 	s.fleetEpoch.Store(msg.Epoch)
 	s.fleetMu.Unlock()
-	for _, cl := range stale {
-		cl.Close()
-	}
 	s.log.Info("installed membership", "epoch", msg.Epoch, "members", len(msg.Members), "self", msg.Self)
 	return http.StatusOK, jsonBody(msg)
 }

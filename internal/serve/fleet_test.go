@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"qgov/internal/governor"
-	"qgov/internal/ring"
 	"qgov/internal/serve"
 	"qgov/internal/serve/client"
 	"qgov/internal/sim"
@@ -278,26 +277,22 @@ func TestReplicaRejoin(t *testing.T) {
 // (membership table fetched from the router, batches sent straight to
 // ring owners) and once through one flat server (the HTTP oracle),
 // must produce byte-identical per-session decision streams and
-// physical aggregates — across a mid-run AddReplica that reshards part
-// of the ring out from under the direct client's installed table. The
-// stale window is covered by replica-side forwarding (the first direct
-// decide after the reshard still lands on the old owner, which relays
-// it) and closed by the epoch carried in every reply, which triggers
-// the Fleet's refetch. The flat server mirrors the reshard's hand-off
-// (freeze → delete → re-create warm) at the same epoch boundary, as in
-// TestRouterEquivalence. Under -race this is the Fleet's concurrency
-// test: all lanes share it.
+// physical aggregates over a 3-replica fleet. Mid-run, one frame is
+// sent straight to a replica that does not own its session: the
+// replica must forward it to the owner (the table NewRouter pushed is
+// what arms that), and the answer must still equal the flat twin's.
+// Under -race this is the Fleet's concurrency test: all lanes share it.
 func TestDirectFleetEquivalence(t *testing.T) {
 	const (
 		scn      = "rtm/mpeg4-30fps/a15"
 		frames   = 120
-		grow     = 60 // epoch boundary where the fleet gains a replica
+		misroute = 60 // frame sent to a replica that does not own its session
 		sessions = 9
 	)
 	flat := newTestServer(t, serve.Options{CheckpointDir: t.TempDir()})
 	_, addrs := newFleet(t, 3, serve.Options{CheckpointDir: t.TempDir()})
 
-	rt, err := serve.NewRouter(addrs[:2], serve.RouterOptions{ProbeEvery: -1})
+	rt, err := serve.NewRouter(addrs, serve.RouterOptions{ProbeEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,41 +302,20 @@ func TestDirectFleetEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer direct.Close()
-	if got := direct.Epoch(); got != rt.Epoch() {
-		t.Fatalf("fleet bootstrapped at epoch %d, router at %d", got, rt.Epoch())
-	}
-	if got := len(direct.Replicas()); got != 2 {
-		t.Fatalf("direct client holds %d replica connections, want 2", got)
+	if got := len(direct.Replicas()); got != len(addrs) {
+		t.Fatalf("direct client holds %d replica connections, want %d", got, len(addrs))
 	}
 
 	type lane struct {
-		id      string
-		seed    int64
-		periodS any
-		flat    *sim.Session
-		direct  *sim.Session
-		fOpps   []int
-		dOpps   []int
-	}
-	// Session ids are "eq-N", except the last lane, whose id is scanned so
-	// the grown ring places it on the future newcomer: the reshard below
-	// must always move at least one session, whatever ports the replicas
-	// were assigned (placement hashes the address strings, so with
-	// arbitrary ids the newcomer occasionally owned none of them).
-	grownRing := ring.New(0, addrs...)
-	lastID := ""
-	for i := 0; lastID == ""; i++ {
-		cand := fmt.Sprintf("eq-%d", sessions-1+i)
-		if owner, _ := grownRing.Owner(cand); owner == addrs[2] {
-			lastID = cand
-		}
+		id     string
+		flat   *sim.Session
+		direct *sim.Session
+		fOpps  []int
+		dOpps  []int
 	}
 	lanes := make([]*lane, sessions)
 	for i := range lanes {
 		id := fmt.Sprintf("eq-%d", i)
-		if i == sessions-1 {
-			id = lastID
-		}
 		seed := int64(i + 1)
 		tr := workload.MPEG4At30(seed, frames)
 		create := map[string]any{
@@ -352,7 +326,7 @@ func TestDirectFleetEquivalence(t *testing.T) {
 			"calibration_cc": tr.MaxPerFrame(),
 		}
 		lanes[i] = &lane{
-			id: id, seed: seed, periodS: tr.RefTimeS,
+			id:     id,
 			flat:   sim.NewSession(scenarioConfig(t, scn, seed, frames)),
 			direct: sim.NewSession(scenarioConfig(t, scn, seed, frames)),
 		}
@@ -426,83 +400,39 @@ func TestDirectFleetEquivalence(t *testing.T) {
 		}
 	}
 
-	drivePhase(grow)
+	drivePhase(misroute)
 
-	// Grow the fleet mid-run: sessions reshard onto the newcomer while
-	// the direct client still holds the 2-replica table.
-	moved, err := rt.AddReplica(addrs[2])
+	// Send one frame straight to a replica that does not own its session,
+	// over a plain client: the replica must forward it to the owner, and
+	// the decision must equal the flat twin's for the same frame.
+	l := lanes[0]
+	owner, _ := rt.Owner(l.id)
+	wrong := addrs[0]
+	if wrong == owner {
+		wrong = addrs[1]
+	}
+	wcl, err := client.Dial(wrong)
 	if err != nil {
-		t.Fatalf("AddReplica(%s): %v", addrs[2], err)
+		t.Fatal(err)
 	}
-	if len(moved) == 0 {
-		t.Fatal("AddReplica moved no sessions; the test would not exercise the reshard")
+	defer wcl.Close()
+	d, err := wcl.Decide(l.id, l.direct.Observe())
+	if err != nil || d.Err != "" {
+		t.Fatalf("misrouted decide for %s at %s (owner %s): %v / %q", l.id, wrong, owner, err, d.Err)
 	}
-	wantMoved := map[string]bool{}
-	for _, id := range moved {
-		wantMoved[id] = true
-		if owner, _ := rt.Owner(id); owner != addrs[2] {
-			t.Fatalf("moved session %s is owned by %s, not the newcomer", id, owner)
-		}
+	l.dOpps = append(l.dOpps, d.OPPIdx)
+	l.direct.Step(d.OPPIdx)
+	f, err := flatDecide(l.id, l.flat.Observe())
+	if err != nil {
+		t.Fatal(err)
 	}
+	if f != d.OPPIdx {
+		t.Fatalf("misrouted decide for %s chose %d, flat twin %d", l.id, d.OPPIdx, f)
+	}
+	l.fOpps = append(l.fOpps, f)
+	l.flat.Step(f)
 
-	// Mirror the hand-off on the flat server at the same epoch boundary:
-	// freeze → delete → re-create warm from the frozen state.
-	for _, l := range lanes {
-		if !wantMoved[l.id] {
-			continue
-		}
-		var ck struct {
-			State json.RawMessage `json:"state"`
-		}
-		if st := flat.post("/v1/sessions/"+l.id+"/checkpoint", map[string]any{}, &ck); st != http.StatusOK {
-			t.Fatalf("flat checkpoint of %s returned %d", l.id, st)
-		}
-		req, _ := http.NewRequest(http.MethodDelete, flat.ts.URL+"/v1/sessions/"+l.id, nil)
-		resp, err := flat.ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("flat delete of %s returned %d", l.id, resp.StatusCode)
-		}
-		recreate := map[string]any{
-			"id":       l.id,
-			"governor": "rtm",
-			"period_s": l.periodS,
-			"seed":     l.seed,
-			"state":    ck.State,
-		}
-		if st := flat.post("/v1/sessions", recreate, nil); st != http.StatusCreated {
-			t.Fatalf("flat re-create of %s returned %d", l.id, st)
-		}
-	}
-
-	// Deterministically exercise the stale-table path: the very next
-	// direct decide for a moved session hits the old owner — which no
-	// longer holds it and must forward to the newcomer, not fail. The
-	// flat twin advances the same frame to keep the streams aligned.
-	for _, l := range lanes {
-		if !wantMoved[l.id] || l.direct.Done() {
-			continue
-		}
-		d, err := direct.Decide(l.id, l.direct.Observe())
-		if err != nil || d.Err != "" {
-			t.Fatalf("stale-table decide for moved %s: %v / %q", l.id, err, d.Err)
-		}
-		l.dOpps = append(l.dOpps, d.OPPIdx)
-		l.direct.Step(d.OPPIdx)
-
-		f, err := flatDecide(l.id, l.flat.Observe())
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.fOpps = append(l.fOpps, f)
-		l.flat.Step(f)
-		break
-	}
-
-	drivePhase(frames - grow)
+	drivePhase(frames - misroute)
 
 	for _, l := range lanes {
 		if len(l.fOpps) != frames || len(l.dOpps) != frames {
@@ -510,21 +440,12 @@ func TestDirectFleetEquivalence(t *testing.T) {
 		}
 		for k := range l.fOpps {
 			if l.fOpps[k] != l.dOpps[k] {
-				t.Fatalf("%s: decision %d is %d flat, %d direct (moved=%v)", l.id, k, l.fOpps[k], l.dOpps[k], wantMoved[l.id])
+				t.Fatalf("%s: decision %d is %d flat, %d direct", l.id, k, l.fOpps[k], l.dOpps[k])
 			}
 		}
 		if phys(l.flat.Result()) != phys(l.direct.Result()) {
 			t.Errorf("%s: physical aggregates diverged", l.id)
 		}
-	}
-
-	// The data plane must have told the direct client about the reshard:
-	// its table is now the router's current epoch over all 3 replicas.
-	if got, want := direct.Epoch(), rt.Epoch(); got != want {
-		t.Errorf("direct client is at epoch %d, router at %d — stale replies did not trigger a refetch", got, want)
-	}
-	if got := len(direct.Replicas()); got != 3 {
-		t.Errorf("direct client holds %d replica connections, want 3", got)
 	}
 }
 

@@ -43,18 +43,14 @@ import (
 // decision streams byte-identical to a single server over the same
 // session set.
 //
-// RemoveReplica drains a member: its sessions hand off to their new
-// owners by checkpoint/restore (freeze on the leaving replica, re-create
-// warm from that state on the ring's new placement), so learnt policies
-// survive resharding. AddReplica is the inverse: the grown ring steals
-// ≈1/N of the keys for the newcomer and only those sessions move.
-//
-// Every ring change bumps the membership epoch and pushes the new table
-// (a wire.Members document) to every replica, so replicas can forward
-// decides that a stale direct client (client.Fleet) sent to the wrong
-// member. A background prober keeps membership honest at runtime: it
+// The ring is built once, in NewRouter, and never changes: resharding
+// is a restart of the fleet over shared checkpoint storage (see the
+// rtmd package doc), not a live operation. NewRouter pushes the table
+// (a wire.Members document at routerEpoch) to every replica, so
+// replicas can forward decides that a direct client (client.Fleet) sent
+// to a member that does not own the session. A background prober
 // health-checks every member, redials dropped connections (a replica
-// restart no longer poisons its client forever), re-pushes the table to
+// restart does not poison its client forever), re-pushes the table to
 // replicas that restarted, and feeds per-member up/down status into
 // /healthz and the members table.
 type Router struct {
@@ -62,17 +58,14 @@ type Router struct {
 	log    *slog.Logger
 	tracer *trace.Tracer
 
-	// mu guards membership: the ring and the client set. Decide and
-	// control traffic holds it for read; Add/RemoveReplica hold it for
-	// write across the whole hand-off, so no decision can land on a
-	// session mid-move.
-	mu      sync.RWMutex
-	ring    *ring.Ring
-	clients map[string]*client.Client
+	// ring is immutable after NewRouter, so placement takes no lock.
+	ring *ring.Ring
 
-	// epoch is the membership generation, bumped on every ring change
-	// and stamped into every decide reply the fleet sends.
-	epoch atomic.Uint32
+	// mu guards clients: the prober swaps in a fresh client when it
+	// redials a restarted replica, and Close closes them all.
+	mu       sync.RWMutex
+	clients  map[string]*client.Client
+	closeErr error
 
 	// stmu guards status: the prober's per-member up/down view. Separate
 	// from mu so health reporting never contends with the decide path.
@@ -82,10 +75,9 @@ type Router struct {
 	nextID    atomic.Int64
 	decisions atomic.Int64
 
-	// relayWG counts in-flight relayed decide batches. Add runs under
-	// mu.RLock, Wait under mu.Lock — mutually exclusive, so a Wait never
-	// races a fresh Add. Ring changes Wait on it so that no decision
-	// lands on a session mid-move.
+	// relayWG counts relay completion goroutines, so Close can wait for
+	// them to finish writing their batches. Add runs under mu.RLock, Wait
+	// under mu.Lock — mutually exclusive, so a Wait never races an Add.
 	relayWG  sync.WaitGroup
 	inflight atomic.Int64
 
@@ -104,6 +96,11 @@ type memberStatus struct {
 	up  bool
 	err string
 }
+
+// routerEpoch is the membership epoch of the router's table. The ring
+// never changes, so neither does the epoch; a replica reporting another
+// one (0 after a restart) gets the table re-pushed.
+const routerEpoch = 1
 
 // defaultProbeEvery is the replica health-check cadence when
 // RouterOptions.ProbeEvery is zero.
@@ -176,8 +173,9 @@ func NewRouter(replicas []string, opt RouterOptions) (*Router, error) {
 		rt.ring.Add(addr)
 		rt.status[addr] = memberStatus{up: true}
 	}
-	rt.epoch.Store(1)
-	rt.pushMembershipLocked()
+	for addr, cl := range rt.clients {
+		rt.pushTable(addr, cl)
+	}
 	every := opt.ProbeEvery
 	if every == 0 {
 		every = defaultProbeEvery
@@ -191,67 +189,57 @@ func NewRouter(replicas []string, opt RouterOptions) (*Router, error) {
 
 // dialReplica opens the router's client to one replica, honoring the
 // configured connection count. Every replica dial goes through here so
-// redials and joins get the same sharding as the initial fleet.
+// redials get the same sharding as the initial fleet.
 func (rt *Router) dialReplica(addr string) (*client.Client, error) {
 	return client.DialOpts(addr, client.DialOptions{Conns: rt.opt.ConnsPerReplica})
 }
 
 // memberEpoch implements connBackend: routed decide replies carry the
 // fleet epoch, exactly as replies straight off a replica do.
-func (rt *Router) memberEpoch() uint32 { return rt.epoch.Load() }
-
-// Epoch returns the current membership epoch (bumped on every ring
-// change).
-func (rt *Router) Epoch() uint32 { return rt.epoch.Load() }
+func (rt *Router) memberEpoch() uint32 { return routerEpoch }
 
 // Tracer exposes the router's span ring, for embedding harnesses and
 // the /v1/trace handlers. Never nil.
 func (rt *Router) Tracer() *trace.Tracer { return rt.tracer }
 
-// Close stops the prober and drops every replica connection. Idempotent.
+// Close stops the prober and closes every replica connection; later
+// decides and controls fail with the closed connection's error.
+// Idempotent.
 func (rt *Router) Close() error {
-	rt.closeOnce.Do(func() { close(rt.done) })
-	rt.probeWG.Wait()
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var firstErr error
-	for addr, cl := range rt.clients {
-		if err := cl.Close(); err != nil && firstErr == nil {
-			firstErr = err
+	rt.closeOnce.Do(func() {
+		close(rt.done)
+		rt.probeWG.Wait()
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		for _, cl := range rt.clients {
+			if err := cl.Close(); err != nil && rt.closeErr == nil {
+				rt.closeErr = err
+			}
 		}
-		delete(rt.clients, addr)
-		rt.ring.Remove(addr)
-	}
-	// Closing the clients failed any in-flight relays; wait for their
-	// completion goroutines to finish writing their batches.
-	rt.relayWG.Wait()
-	return firstErr
+		// Closing the clients failed any in-flight relays; wait for their
+		// completion goroutines to finish writing their batches.
+		rt.relayWG.Wait()
+	})
+	return rt.closeErr
 }
 
-// Replicas returns the current member addresses, sorted.
-func (rt *Router) Replicas() []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.ring.Members()
-}
+// Replicas returns the member addresses, sorted.
+func (rt *Router) Replicas() []string { return rt.ring.Members() }
 
 // Owner returns the replica address that owns the session id.
-func (rt *Router) Owner(id string) (string, bool) {
+func (rt *Router) Owner(id string) (string, bool) { return rt.ring.Owner(id) }
+
+// client returns the current connection to one member.
+func (rt *Router) client(addr string) *client.Client {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	return rt.ring.Owner(id)
+	return rt.clients[addr]
 }
 
 // setStatus records the prober's verdict on one member.
 func (rt *Router) setStatus(addr string, up bool, errMsg string) {
 	rt.stmu.Lock()
 	rt.status[addr] = memberStatus{up: up, err: errMsg}
-	rt.stmu.Unlock()
-}
-
-func (rt *Router) clearStatus(addr string) {
-	rt.stmu.Lock()
-	delete(rt.status, addr)
 	rt.stmu.Unlock()
 }
 
@@ -274,40 +262,24 @@ func (rt *Router) downMembers() []string {
 // current table plus the prober's down list, so a direct client routes
 // keys owned by a dead member via the router instead of dialing it.
 func (rt *Router) membersInfo() wire.Members {
-	rt.mu.RLock()
-	m := wire.Members{
-		Epoch:   rt.epoch.Load(),
+	return wire.Members{
+		Epoch:   routerEpoch,
 		VNodes:  rt.ring.VirtualNodes(),
 		Members: rt.ring.Members(),
-	}
-	rt.mu.RUnlock()
-	m.Down = rt.downMembers()
-	return m
-}
-
-// pushMembershipLocked pushes the current table to every connected
-// member. Callers hold the write lock (or own the router exclusively,
-// as NewRouter does). Push failures are logged, not fatal: the prober
-// re-pushes as soon as the replica answers health checks again — a
-// replica with a stale table still serves its own sessions correctly,
-// it just cannot forward for others until the re-push lands.
-func (rt *Router) pushMembershipLocked() {
-	epoch := rt.epoch.Load()
-	members := rt.ring.Members()
-	vnodes := rt.ring.VirtualNodes()
-	for _, addr := range members {
-		if cl := rt.clients[addr]; cl != nil {
-			rt.pushTable(addr, cl, epoch, vnodes, members)
-		}
+		Down:    rt.downMembers(),
 	}
 }
 
 // pushTable installs the membership table on one replica via OpMembers.
-func (rt *Router) pushTable(addr string, cl *client.Client, epoch uint32, vnodes int, members []string) {
-	body := jsonBody(wire.Members{Epoch: epoch, VNodes: vnodes, Members: members, Self: addr})
+// Failures are logged, not fatal: the prober re-pushes as soon as the
+// replica answers health checks again — a replica without the table
+// still serves its own sessions, it just cannot forward for others
+// until the push lands.
+func (rt *Router) pushTable(addr string, cl *client.Client) {
+	body := jsonBody(wire.Members{Epoch: routerEpoch, VNodes: rt.ring.VirtualNodes(), Members: rt.ring.Members(), Self: addr})
 	if status, resp, err := cl.Control(wire.OpMembers, "", body); err != nil || status != http.StatusOK {
 		rt.log.Warn("pushing membership failed",
-			"replica", addr, "epoch", epoch, "status", status, "err", err, "body", string(resp))
+			"replica", addr, "status", status, "err", err, "body", string(resp))
 	}
 }
 
@@ -327,35 +299,25 @@ func (rt *Router) probeLoop(every time.Duration) {
 }
 
 // probeOnce probes every member. A member whose client answers health
-// is up (and gets a table re-push if its installed epoch is stale — a
-// restarted replica comes back with epoch 0). A member whose client is
-// poisoned or gone is redialed: on success the fresh connection replaces
-// the dead one, so a replica restart heals without a router restart; on
-// failure the member is marked down for /healthz and the members table.
+// is up (and gets a table re-push if its installed epoch is not the
+// router's — a restarted replica comes back with epoch 0). A member
+// whose client is poisoned or gone is redialed: on success the fresh
+// connection replaces the dead one, so a replica restart heals without
+// a router restart; on failure the member is marked down for /healthz
+// and the members table.
 func (rt *Router) probeOnce() {
-	rt.mu.RLock()
-	members := rt.ring.Members()
-	vnodes := rt.ring.VirtualNodes()
-	clients := make([]*client.Client, len(members))
-	for i, m := range members {
-		clients[i] = rt.clients[m]
-	}
-	rt.mu.RUnlock()
-	epoch := rt.epoch.Load()
-
-	for i, addr := range members {
-		if cl := clients[i]; cl != nil {
-			if st, body, err := cl.Health(); err == nil && st == http.StatusOK {
-				var h healthJSON
-				_ = json.Unmarshal(body, &h)
-				if h.MemberEpoch != epoch {
-					rt.pushTable(addr, cl, epoch, vnodes, members)
-				}
-				rt.setStatus(addr, true, "")
-				continue
+	for _, addr := range rt.ring.Members() {
+		cl := rt.client(addr)
+		if st, body, err := cl.Health(); err == nil && st == http.StatusOK {
+			var h healthJSON
+			_ = json.Unmarshal(body, &h)
+			if h.MemberEpoch != routerEpoch {
+				rt.pushTable(addr, cl)
 			}
-			// Poisoned or unresponsive: fall through to a redial.
+			rt.setStatus(addr, true, "")
+			continue
 		}
+		// Poisoned or unresponsive: redial.
 		nc, err := rt.dialReplica(addr)
 		if err != nil {
 			rt.setStatus(addr, false, err.Error())
@@ -366,19 +328,11 @@ func (rt *Router) probeOnce() {
 			rt.setStatus(addr, false, fmt.Sprintf("health status %d err %v", st, err))
 			continue
 		}
-		rt.pushTable(addr, nc, epoch, vnodes, members)
+		rt.pushTable(addr, nc)
 		rt.mu.Lock()
-		if !rt.ring.Has(addr) { // removed while we were redialing
-			rt.mu.Unlock()
-			nc.Close()
-			continue
-		}
-		old := rt.clients[addr]
 		rt.clients[addr] = nc
 		rt.mu.Unlock()
-		if old != nil {
-			old.Close()
-		}
+		cl.Close()
 		rt.setStatus(addr, true, "")
 		rt.log.Info("reconnected to replica", "replica", addr)
 	}
@@ -455,8 +409,7 @@ func (s *routeScratch) release() {
 // encoded observe payloads to their owning replicas — no decode, no
 // re-encode, only the request id is rewritten per frame — and returns a
 // channel that closes when every entry is answered. Grouping and
-// dispatch run on the caller's goroutine under the read lock (so the
-// ring cannot change under the batch, and per-replica frame order
+// dispatch run on the caller's goroutine (so per-replica frame order
 // follows arrival order); waiting moves to a completion goroutine, so
 // the transport can keep further batches in flight.
 func (rt *Router) startBatch(batch []*observeReq) <-chan struct{} {
@@ -476,18 +429,12 @@ func (rt *Router) startBatch(batch []*observeReq) <-chan struct{} {
 	}
 	var propagated trace.TraceID
 
-	rt.mu.RLock()
 	relayed := 0
 	for i, r := range batch {
 		if r.ctrl {
 			continue // callers split controls out; defensive
 		}
-		owner, ok := rt.ring.OwnerBytes(r.m.Session)
-		if !ok {
-			r.oppIdx, r.freqMHz = -1, 0
-			r.errMsg = "router has no replicas"
-			continue
-		}
+		owner, _ := rt.ring.OwnerBytes(r.m.Session) // never empty: NewRouter needs a replica
 		payload := r.raw
 		if len(payload) == 0 {
 			// JSON-path requests carry no wire payload; encode one. The id
@@ -528,6 +475,7 @@ func (rt *Router) startBatch(batch []*observeReq) <-chan struct{} {
 		spanTrace = propagated
 	}
 
+	rt.mu.RLock()
 	for _, g := range s.used {
 		n := len(g.idx)
 		if cap(g.out) < n {
@@ -742,18 +690,9 @@ func (rt *Router) control(op byte, session string, body []byte) (uint16, []byte)
 // forward routes one session-scoped control op to the session's owner.
 // The op travels with the session id in the frame's session field, so
 // the replica applies it to the right session whatever the body says.
-// The read lock is held across the round trip: a control op must not
-// land on a replica after RemoveReplica has enumerated its sessions —
-// the drain would miss it and strand the session off-ring.
 func (rt *Router) forward(op byte, session string, body []byte) (uint16, []byte) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	owner, ok := rt.ring.Owner(session)
-	cl := rt.clients[owner]
-	if !ok || cl == nil {
-		return http.StatusServiceUnavailable, errorBody(errf("router has no replicas"))
-	}
-	status, resp, err := cl.Control(op, session, body)
+	owner, _ := rt.ring.Owner(session)
+	status, resp, err := rt.client(owner).Control(op, session, body)
 	if err != nil {
 		return http.StatusBadGateway, errorBody(fmt.Errorf("replica %s: %w", owner, err))
 	}
@@ -764,30 +703,17 @@ func (rt *Router) forward(op byte, session string, body []byte) (uint16, []byte)
 // results in member order. A failing replica fails only its own slot —
 // each caller decides whether a partial fleet answer degrades (name the
 // gap, aggregate the rest) or fails outright (zero replicas answered).
-// The read lock is held across the fan-out so the member set cannot
-// shrink under it.
 func (rt *Router) eachReplica(f func(addr string, cl *client.Client) ([]byte, error)) (bodies [][]byte, members []string, errs []error) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
 	members = rt.ring.Members()
-	clients := make([]*client.Client, len(members))
-	for i, m := range members {
-		clients[i] = rt.clients[m]
-	}
-
 	bodies = make([][]byte, len(members))
 	errs = make([]error, len(members))
 	var wg sync.WaitGroup
-	for i := range members {
+	for i, addr := range members {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, cl *client.Client) {
 			defer wg.Done()
-			if clients[i] == nil {
-				errs[i] = errf("no connection")
-				return
-			}
-			bodies[i], errs[i] = f(members[i], clients[i])
-		}(i)
+			bodies[i], errs[i] = f(members[i], cl)
+		}(i, rt.client(addr))
 	}
 	wg.Wait()
 	return bodies, members, errs
@@ -855,8 +781,8 @@ func (rt *Router) metrics() (metricsJSON, error) {
 
 // aggregateList concatenates the reachable replicas' session lists,
 // sorted by id. A partial answer is 206 — callers that must see every
-// session (a drain) treat that as failure; observability callers keep
-// the majority view. Zero answers is 502.
+// session (a migration script) treat that as failure; observability
+// callers keep the majority view. Zero answers is 502.
 func (rt *Router) aggregateList() (uint16, []byte) {
 	bodies, members, errs := rt.eachReplica(func(addr string, cl *client.Client) ([]byte, error) {
 		status, body, err := cl.ListSessions()
@@ -898,269 +824,6 @@ func (rt *Router) aggregateList() (uint16, []byte) {
 		return http.StatusPartialContent, jsonBody(all)
 	}
 	return http.StatusOK, jsonBody(all)
-}
-
-// RemoveReplica drains one member: every session it owns is frozen
-// there, re-created warm from that state on the replica the shrunk ring
-// now places it on, and deleted from the leaver. The write lock is held
-// throughout, so no decide observes a session mid-move; callers pause
-// their decision loops at an epoch boundary around this call (decides
-// issued during the move simply block, they do not fail).
-//
-// The drain is abort-on-failure: if any session cannot move, the
-// sessions already moved are moved back, the ring is restored, and the
-// replica stays connected — the router never ends up routing a session
-// away from the only replica that holds it. It returns the moved
-// session ids.
-func (rt *Router) RemoveReplica(addr string) ([]string, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	// Quiesce the pipelined relay: in-flight batches dispatched under the
-	// read lock must land before any session moves, or a decision could
-	// reach a replica after the drain enumerated its sessions.
-	rt.relayWG.Wait()
-
-	leaving := rt.clients[addr]
-	if leaving == nil {
-		return nil, fmt.Errorf("serve: %s is not a replica", addr)
-	}
-	if len(rt.clients) == 1 {
-		return nil, fmt.Errorf("serve: cannot remove the last replica")
-	}
-
-	status, body, err := leaving.ListSessions()
-	if err != nil || status != http.StatusOK {
-		return nil, fmt.Errorf("serve: listing sessions on %s: status %d err %v", addr, status, err)
-	}
-	var infos []sessionInfo
-	if err := json.Unmarshal(body, &infos); err != nil {
-		return nil, fmt.Errorf("serve: decoding session list from %s: %w", addr, err)
-	}
-
-	rt.ring.Remove(addr)
-	var moved []string
-	for _, info := range infos {
-		owner, ok := rt.ring.Owner(info.ID)
-		if !ok {
-			// Unreachable with ≥ 1 survivor; guard anyway.
-			rt.ring.Add(addr)
-			return nil, fmt.Errorf("serve: ring is empty")
-		}
-		if err := rt.moveSession(leaving, addr, rt.clients[owner], owner, info); err != nil {
-			rt.log.Warn("moving session failed; aborting drain",
-				"session", info.ID, "replica", addr, "err", err)
-			rt.undoDrain(leaving, addr, infos, moved)
-			rt.ring.Add(addr)
-			return nil, fmt.Errorf("serve: draining %s: moving %s: %w", addr, info.ID, err)
-		}
-		moved = append(moved, info.ID)
-	}
-
-	delete(rt.clients, addr)
-	rt.clearStatus(addr)
-	closeErr := leaving.Close()
-	epoch := rt.epoch.Add(1)
-	rt.pushMembershipLocked()
-	rt.log.Info("drained replica", "replica", addr, "sessions_moved", len(moved), "epoch", epoch)
-	return moved, closeErr
-}
-
-// AddReplica joins a new member to a live fleet — the inverse of
-// RemoveReplica. The grown ring steals ≈1/N of the keys for the
-// newcomer; exactly the sessions whose owner changed move there by the
-// same checkpoint/restore hand-off a drain uses, under the write lock,
-// so no decide observes a session mid-move. The join is
-// abort-on-failure: a failed move puts already-moved sessions back,
-// restores the ring, and leaves the fleet exactly as it was. On success
-// the membership epoch bumps and the new table is pushed fleet-wide; it
-// returns the moved session ids.
-func (rt *Router) AddReplica(addr string) ([]string, error) {
-	cl, err := rt.dialReplica(addr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: dialing replica %s: %w", addr, err)
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	// Same quiesce as RemoveReplica: no relayed decision may straddle the
-	// ring change.
-	rt.relayWG.Wait()
-	if rt.ring.Has(addr) {
-		cl.Close()
-		return nil, fmt.Errorf("serve: %s is already a replica", addr)
-	}
-
-	// Enumerate every member's sessions before growing the ring; the
-	// grown ring then tells us which of them the newcomer owns.
-	type source struct {
-		addr string
-		cl   *client.Client
-		info sessionInfo
-	}
-	var candidates []source
-	for _, m := range rt.ring.Members() {
-		mc := rt.clients[m]
-		if mc == nil {
-			cl.Close()
-			return nil, fmt.Errorf("serve: no connection to %s", m)
-		}
-		status, body, err := mc.ListSessions()
-		if err != nil || status != http.StatusOK {
-			cl.Close()
-			return nil, fmt.Errorf("serve: listing sessions on %s: status %d err %v", m, status, err)
-		}
-		var infos []sessionInfo
-		if err := json.Unmarshal(body, &infos); err != nil {
-			cl.Close()
-			return nil, fmt.Errorf("serve: decoding session list from %s: %w", m, err)
-		}
-		for _, info := range infos {
-			candidates = append(candidates, source{addr: m, cl: mc, info: info})
-		}
-	}
-
-	rt.ring.Add(addr)
-	var moved []source
-	for _, c := range candidates {
-		if owner, _ := rt.ring.Owner(c.info.ID); owner != addr {
-			continue
-		}
-		if err := rt.moveSession(c.cl, c.addr, cl, addr, c.info); err != nil {
-			rt.log.Warn("moving session failed; aborting join",
-				"session", c.info.ID, "replica", addr, "err", err)
-			for _, m := range moved {
-				if uerr := rt.moveSession(cl, addr, m.cl, m.addr, m.info); uerr != nil {
-					rt.log.Warn("moving session back failed",
-						"session", m.info.ID, "replica", m.addr, "err", uerr)
-				}
-			}
-			rt.ring.Remove(addr)
-			cl.Close()
-			return nil, fmt.Errorf("serve: joining %s: moving %s: %w", addr, c.info.ID, err)
-		}
-		moved = append(moved, c)
-	}
-
-	rt.clients[addr] = cl
-	rt.setStatus(addr, true, "")
-	epoch := rt.epoch.Add(1)
-	rt.pushMembershipLocked()
-	rt.log.Info("added replica", "replica", addr, "sessions_moved", len(moved), "epoch", epoch)
-	ids := make([]string, len(moved))
-	for i, m := range moved {
-		ids[i] = m.info.ID
-	}
-	return ids, nil
-}
-
-// undoDrain moves already-moved sessions back onto the replica whose
-// drain is being aborted. The ring is still shrunk here, so each moved
-// session's current holder is its ring owner. Undo failures are logged
-// and skipped — at that point the fleet is degraded either way, and
-// leaving the session where it is beats deleting it.
-func (rt *Router) undoDrain(leaving *client.Client, addr string, infos []sessionInfo, moved []string) {
-	byID := make(map[string]sessionInfo, len(infos))
-	for _, info := range infos {
-		byID[info.ID] = info
-	}
-	for _, id := range moved {
-		owner, ok := rt.ring.Owner(id)
-		if !ok {
-			continue
-		}
-		if err := rt.moveSession(rt.clients[owner], owner, leaving, addr, byID[id]); err != nil {
-			rt.log.Warn("moving session back failed", "session", id, "replica", addr, "err", err)
-		}
-	}
-}
-
-// moveSession hands one session between replicas by checkpoint/restore:
-// freeze on the source, re-create warm on the destination, delete from
-// the source, then persist on the destination. The delete runs after
-// the create so the session always exists somewhere; the final
-// checkpoint runs after the delete because deleting the source session
-// garbage-collects its checkpoint — on shared checkpoint storage that
-// would otherwise leave the moved session with no durable state until
-// the destination's next periodic sweep. Callers hold the write lock.
-func (rt *Router) moveSession(src *client.Client, srcAddr string, dst *client.Client, dstAddr string, info sessionInfo) error {
-	if dst == nil {
-		return fmt.Errorf("no client for %s", dstAddr)
-	}
-
-	// Freeze the learnt state. Governors that keep none (400) move cold;
-	// a governor that has not decided yet (409) moves cold too.
-	var state json.RawMessage
-	status, body, err := src.CheckpointSession(info.ID)
-	switch {
-	case err != nil:
-		return fmt.Errorf("freezing on %s: %w", srcAddr, err)
-	case status == http.StatusOK:
-		var ck checkpointResponse
-		if err := json.Unmarshal(body, &ck); err != nil {
-			return fmt.Errorf("decoding checkpoint: %w", err)
-		}
-		state = ck.State
-	case status == http.StatusBadRequest || status == http.StatusConflict:
-		// stateless governor / nothing learnt yet
-	default:
-		return fmt.Errorf("freezing on %s: status %d: %s", srcAddr, status, body)
-	}
-
-	// The moved session keeps its identity: workload and cap re-apply,
-	// and the manifest it originally warm-started from rides along as
-	// provenance (the state itself travels inline). A ThermalCap's
-	// ceiling is transient protective state and is not carried — the
-	// destination starts at the full ladder and re-throttles within an
-	// epoch per over-budget step, exactly as after a restart.
-	create := createRequest{
-		ID:           info.ID,
-		Governor:     info.Governor,
-		Platform:     info.Platform,
-		Workload:     info.Workload,
-		PeriodS:      info.PeriodS,
-		Seed:         info.Seed,
-		ThermalCapMW: info.ThermalCapMW,
-		WarmStart:    info.WarmManifest,
-		State:        state,
-	}
-	status, body, err = dst.CreateSession(jsonBody(create))
-	if err != nil {
-		return fmt.Errorf("re-creating on %s: %w", dstAddr, err)
-	}
-	if status != http.StatusCreated {
-		return fmt.Errorf("re-creating on %s: status %d: %s", dstAddr, status, body)
-	}
-
-	if status, body, err = src.DeleteSession(info.ID); err != nil || status != http.StatusNoContent {
-		// The move failed with the session live on BOTH replicas. Remove
-		// the destination copy so the source (which the aborting caller
-		// will restore to the ring) stays the single authority — an
-		// orphaned dst copy would keep checkpointing stale state over the
-		// live session's on shared storage.
-		if st, b, derr := dst.DeleteSession(info.ID); derr != nil || st != http.StatusNoContent {
-			rt.log.Warn("removing duplicate after failed move failed",
-				"session", info.ID, "replica", dstAddr, "status", st, "err", derr, "body", string(b))
-		} else if state != nil {
-			// That delete garbage-collected the checkpoint; on shared
-			// storage it was the survivor's too. Re-freeze on the source
-			// (best-effort — its periodic sweep retries).
-			if st, _, cerr := src.CheckpointSession(info.ID); cerr != nil || st != http.StatusOK {
-				rt.log.Warn("re-freezing after aborted move failed",
-					"session", info.ID, "replica", srcAddr, "status", st, "err", cerr)
-			}
-		}
-		return fmt.Errorf("deleting from %s: status %d err %v (%s)", srcAddr, status, err, body)
-	}
-
-	// Re-persist on the destination; best-effort (the periodic sweep
-	// retries), but without it a crash before the next sweep would lose
-	// the learnt state the move just carried.
-	if state != nil {
-		if status, body, err := dst.CheckpointSession(info.ID); err != nil || status != http.StatusOK {
-			rt.log.Warn("persisting moved session failed",
-				"session", info.ID, "replica", dstAddr, "status", status, "err", err, "body", string(body))
-		}
-	}
-	return nil
 }
 
 // NewRouterTCP wraps a Router with a binary-transport listener — the
@@ -1231,7 +894,7 @@ func (rt *Router) aggregateHealth() (uint16, []byte) {
 		"sessions":         sessions,
 		"replicas":         len(members),
 		"replicas_up":      up,
-		"epoch":            rt.epoch.Load(),
+		"epoch":            routerEpoch,
 		"decisions":        decisions, // fleet total, direct traffic included
 		"routed_decisions": rt.decisions.Load(),
 		"members":          detail,

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -28,8 +29,9 @@ type replica struct {
 
 // newFleet starts n replicas, every one built from the same options —
 // point them at one shared checkpoint store (a common CheckpointDir, or
-// a registry-backed Checkpoints) and you have the deployment shape
-// hand-off relies on. It returns them with their binary addresses.
+// a registry-backed Checkpoints) and you have the deployment shape a
+// restart reshard relies on. It returns them with their binary
+// addresses.
 func newFleet(t testing.TB, n int, opt serve.Options) ([]*replica, []string) {
 	t.Helper()
 	reps := make([]*replica, n)
@@ -52,6 +54,59 @@ func newFleet(t testing.TB, n int, opt serve.Options) ([]*replica, []string) {
 	return reps, addrs
 }
 
+// routedFleet is a router over freshly started replicas, with both of
+// its fronts and one binary client: the unit a restart reshard stops
+// and starts again.
+type routedFleet struct {
+	reps []*replica
+	rt   *serve.Router
+	http *httptest.Server
+	tcp  *serve.TCPServer
+	cl   *client.Client
+	stop sync.Once
+}
+
+func startRoutedFleet(t *testing.T, n int, opt serve.Options, rtOpt serve.RouterOptions) *routedFleet {
+	t.Helper()
+	f := &routedFleet{}
+	var addrs []string
+	f.reps, addrs = newFleet(t, n, opt)
+	var err error
+	if f.rt, err = serve.NewRouter(addrs, rtOpt); err != nil {
+		t.Fatal(err)
+	}
+	f.http = httptest.NewServer(f.rt.Handler())
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.tcp = serve.NewRouterTCP(f.rt, lis)
+	go func() { _ = f.tcp.Serve() }()
+	if f.cl, err = client.Dial(lis.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.shutdown(t) })
+	return f
+}
+
+// shutdown stops the fleet gracefully, front to back: client, router
+// fronts, router, then every replica — whose Close runs the final
+// checkpoint sweep a restart warm-starts from. Idempotent.
+func (f *routedFleet) shutdown(t *testing.T) {
+	f.stop.Do(func() {
+		f.cl.Close()
+		_ = f.tcp.Close()
+		f.http.Close()
+		_ = f.rt.Close()
+		for _, r := range f.reps {
+			_ = r.tcp.Close()
+			if err := r.srv.Close(); err != nil {
+				t.Errorf("closing replica: %v", err)
+			}
+		}
+	})
+}
+
 // driveFrames advances a sim.Session up to maxFrames decisions through
 // decide, recording each OPP index.
 func driveFrames(s *sim.Session, maxFrames int, decide func(obs governor.Observation) (int, error)) ([]int, error) {
@@ -68,15 +123,16 @@ func driveFrames(s *sim.Session, maxFrames int, decide func(obs governor.Observa
 }
 
 // TestRouterEquivalence is the acceptance test of the sharded serving
-// stack: an identical session set, driven once through a 3-replica
-// router (binary transport end to end) and once through one flat
+// stack: an identical session set, driven once through a router over a
+// replica fleet (binary transport end to end) and once through one flat
 // server (the HTTP oracle), must produce byte-identical per-session
 // decision streams, physical aggregates, and frozen checkpoints —
-// including across a mid-run checkpoint/restore hand-off, where one
-// replica leaves the ring and its sessions move to the survivors. The
-// flat server mirrors the hand-off (freeze → delete → re-create warm)
-// at the same epoch boundary, so any divergence the routing layer or
-// the hand-off itself introduced would surface as a decision mismatch.
+// including across two restart reshards (3 → 4 → 2 replicas over one
+// shared checkpoint store), where every session is re-created on the
+// replica the new ring places it on and warm-starts from its
+// checkpoint. The flat server restarts at the same epoch boundaries, so
+// any divergence the routing layer or the restart introduced would
+// surface as a decision mismatch.
 func TestRouterEquivalence(t *testing.T) {
 	dirFleet := t.TempDir()
 	runRouterFlatEquivalence(t, serve.Options{CheckpointDir: dirFleet}, serve.RouterOptions{}, func(id string) ([]byte, error) {
@@ -98,14 +154,14 @@ func TestRouterEquivalencePipelinedMultiConn(t *testing.T) {
 		})
 }
 
-// TestRouterHandoffThroughRegistry re-runs the router-vs-flat suite with
+// TestRouterReshardThroughRegistry re-runs the router-vs-flat suite with
 // the fleet's checkpoints living in the content-addressed registry's
 // blob store instead of a shared directory — the deployment where
 // replicas on different machines share an object store. The same
 // contract must hold: byte-identical decision streams and checkpoints,
-// including across a RemoveReplica hand-off whose freeze/restore now
-// travels through the registry-backed CheckpointStore.
-func TestRouterHandoffThroughRegistry(t *testing.T) {
+// including across restart reshards whose warm starts now read the
+// registry-backed CheckpointStore.
+func TestRouterReshardThroughRegistry(t *testing.T) {
 	blobs := registry.NewMem()
 	runRouterFlatEquivalence(t, serve.Options{
 		Checkpoints: registry.Checkpoints(blobs),
@@ -121,91 +177,57 @@ func runRouterFlatEquivalence(t *testing.T, fleetOpt serve.Options, rtOpt serve.
 	const (
 		scn      = "rtm/mpeg4-30fps/a15"
 		frames   = 120
-		handoff  = 60 // epoch boundary where the fleet shrinks
 		sessions = 9
-		replicas = 3
 	)
+	// Each phase runs a fresh fleet of its size up to its epoch; between
+	// phases both sides restart (the reshard an operator runs).
+	phases := []struct{ replicas, until int }{{3, 40}, {4, 80}, {2, frames}}
+
 	dirFlat := t.TempDir()
 	flat := newTestServer(t, serve.Options{CheckpointDir: dirFlat})
-	fleet, addrs := newFleet(t, replicas, fleetOpt)
+	fleet := startRoutedFleet(t, phases[0].replicas, fleetOpt, rtOpt)
 
-	rt, err := serve.NewRouter(addrs, rtOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rtHTTP := httptest.NewServer(rt.Handler())
-	defer rtHTTP.Close()
-
-	rtLis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtTCP := serve.NewRouterTCP(rt, rtLis)
-	go func() { _ = rtTCP.Serve() }()
-	defer rtTCP.Close()
-
-	cl, err := client.Dial(rtLis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	// Create the same sessions on both sides; remember the create params
-	// for the flat side's hand-off mirror.
 	type lane struct {
 		id     string
 		seed   int64
-		create map[string]any
+		create []byte // the original create body, replayed on every restart
 	}
 	lanes := make([]lane, sessions)
-	owners := map[string][]string{} // replica addr → session ids
 	for i := range lanes {
 		id := fmt.Sprintf("eq-%d", i)
 		seed := int64(i + 1)
 		tr := workload.MPEG4At30(seed, frames)
-		create := map[string]any{
+		create, err := json.Marshal(map[string]any{
 			"id":             id,
 			"governor":       "rtm",
 			"period_s":       tr.RefTimeS,
 			"seed":           seed,
 			"calibration_cc": tr.MaxPerFrame(),
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		lanes[i] = lane{id: id, seed: seed, create: create}
-		if st := flat.post("/v1/sessions", create, nil); st != http.StatusCreated {
-			t.Fatalf("create %s on flat server returned %d", id, st)
-		}
-		raw, err := json.Marshal(create)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := rtHTTP.Client().Post(rtHTTP.URL+"/v1/sessions", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create %s through router returned %d", id, resp.StatusCode)
-		}
-		owner, ok := rt.Owner(id)
-		if !ok {
-			t.Fatalf("router has no owner for %s", id)
-		}
-		owners[owner] = append(owners[owner], id)
 	}
-
-	// Pick the leaving replica: one that owns at least one session, so
-	// the hand-off genuinely moves learnt state.
-	var leaving string
-	for _, addr := range addrs {
-		if len(owners[addr]) > 0 {
-			leaving = addr
-			break
+	// createAll creates every session on both sides from its original
+	// body: through the router's HTTP front, and on the flat server.
+	createAll := func() {
+		t.Helper()
+		for _, l := range lanes {
+			if st := flat.post("/v1/sessions", json.RawMessage(l.create), nil); st != http.StatusCreated {
+				t.Fatalf("create %s on flat server returned %d", l.id, st)
+			}
+			resp, err := fleet.http.Client().Post(fleet.http.URL+"/v1/sessions", "application/json", bytes.NewReader(l.create))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("create %s through router returned %d", l.id, resp.StatusCode)
+			}
 		}
 	}
-	if leaving == "" {
-		t.Fatal("no replica owns any session")
-	}
+	createAll()
 
 	type side struct {
 		sim  *sim.Session
@@ -252,7 +274,7 @@ func runRouterFlatEquivalence(t *testing.T, fleetOpt serve.Options, rtOpt serve.
 				flatSide[i].opps = append(flatSide[i].opps, opps...)
 
 				opps, err = driveFrames(routedSide[i].sim, maxFrames, func(obs governor.Observation) (int, error) {
-					d, err := cl.Decide(l.id, obs)
+					d, err := fleet.cl.Decide(l.id, obs)
 					if err != nil {
 						return -1, err
 					}
@@ -275,68 +297,73 @@ func runRouterFlatEquivalence(t *testing.T, fleetOpt serve.Options, rtOpt serve.
 		}
 	}
 
-	drivePhase(handoff)
-
-	// Shrink the fleet: the leaving replica's sessions hand off by
-	// checkpoint/restore to their new ring placements.
-	moved, err := rt.RemoveReplica(leaving)
-	if err != nil {
-		t.Fatalf("RemoveReplica(%s): %v", leaving, err)
-	}
-	if len(moved) == 0 {
-		t.Fatal("hand-off moved no sessions; the test would not exercise checkpoint/restore")
-	}
-	wantMoved := map[string]bool{}
-	for _, id := range owners[leaving] {
-		wantMoved[id] = true
-	}
-	if len(moved) != len(wantMoved) {
-		t.Fatalf("moved %v, want exactly the leaver's sessions %v", moved, owners[leaving])
-	}
-	for _, id := range moved {
-		if !wantMoved[id] {
-			t.Fatalf("session %s moved but was not owned by %s", id, leaving)
-		}
-		if owner, _ := rt.Owner(id); owner == leaving {
-			t.Fatalf("session %s still placed on the departed replica", id)
-		}
-	}
-
-	// Mirror the hand-off on the flat server at the same epoch boundary:
-	// freeze → delete → re-create warm from the frozen state.
-	for i, l := range lanes {
-		if !wantMoved[l.id] {
-			continue
-		}
-		var ck struct {
-			State json.RawMessage `json:"state"`
-		}
-		if st := flat.post("/v1/sessions/"+l.id+"/checkpoint", map[string]any{}, &ck); st != http.StatusOK {
-			t.Fatalf("flat checkpoint of %s returned %d", l.id, st)
-		}
-		req, _ := http.NewRequest(http.MethodDelete, flat.ts.URL+"/v1/sessions/"+l.id, nil)
-		resp, err := flat.ts.Client().Do(req)
-		if err != nil {
+	// sameState fails unless a re-created session's freshly frozen state
+	// is the state frozen at the stop — a silent cold start would differ.
+	sameState := func(what, id string, atStop, now []byte) {
+		t.Helper()
+		var a, b any
+		if err := json.Unmarshal(atStop, &a); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("flat delete of %s returned %d", l.id, resp.StatusCode)
+		if err := json.Unmarshal(now, &b); err != nil {
+			t.Fatal(err)
 		}
-		recreate := map[string]any{
-			"id":       l.id,
-			"governor": "rtm",
-			"period_s": l.create["period_s"],
-			"seed":     l.seed,
-			"state":    ck.State,
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: re-created %s does not reproduce the state frozen at the stop", what, id)
 		}
-		if st := flat.post("/v1/sessions", recreate, nil); st != http.StatusCreated {
-			t.Fatalf("flat re-create of %s returned %d", l.id, st)
-		}
-		_ = i
 	}
 
-	drivePhase(frames - handoff)
+	done := 0
+	for p, ph := range phases {
+		if p > 0 {
+			// Restart reshard: stop both sides gracefully (Close runs the
+			// final checkpoint sweep), start the new fleet over the same
+			// store, and re-create every session from its original body.
+			fleet.shutdown(t)
+			flat.ts.Close()
+			if err := flat.srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			frozenFlat := make([][]byte, sessions)
+			frozenFleet := make([][]byte, sessions)
+			for i, l := range lanes {
+				var err error
+				if frozenFlat[i], err = os.ReadFile(dirFlat + "/" + l.id + ".state"); err != nil {
+					t.Fatalf("flat stop checkpoint for %s: %v", l.id, err)
+				}
+				if frozenFleet[i], err = loadFleetCkpt(l.id); err != nil {
+					t.Fatalf("fleet stop checkpoint for %s: %v", l.id, err)
+				}
+				if !bytes.Equal(frozenFlat[i], frozenFleet[i]) {
+					t.Fatalf("%s: checkpoints at the stop before phase %d differ flat vs fleet", l.id, p)
+				}
+			}
+
+			fleet = startRoutedFleet(t, ph.replicas, fleetOpt, rtOpt)
+			flat = newTestServer(t, serve.Options{CheckpointDir: dirFlat})
+			createAll()
+			for i, l := range lanes {
+				var ck struct {
+					State json.RawMessage `json:"state"`
+				}
+				if st := flat.post("/v1/sessions/"+l.id+"/checkpoint", map[string]any{}, &ck); st != http.StatusOK {
+					t.Fatalf("flat checkpoint of %s returned %d", l.id, st)
+				}
+				sameState("flat", l.id, frozenFlat[i], ck.State)
+				st, body, err := fleet.cl.CheckpointSession(l.id)
+				if err != nil || st != http.StatusOK {
+					t.Fatalf("fleet checkpoint of %s: status %d err %v (%s)", l.id, st, err, body)
+				}
+				ck.State = nil
+				if err := json.Unmarshal(body, &ck); err != nil {
+					t.Fatal(err)
+				}
+				sameState("fleet", l.id, frozenFleet[i], ck.State)
+			}
+		}
+		drivePhase(ph.until - done)
+		done = ph.until
+	}
 
 	// Byte-identical decision streams and physical aggregates.
 	for i, l := range lanes {
@@ -346,7 +373,7 @@ func runRouterFlatEquivalence(t *testing.T, fleetOpt serve.Options, rtOpt serve.
 		}
 		for k := range f.opps {
 			if f.opps[k] != r.opps[k] {
-				t.Fatalf("%s: decision %d is %d flat, %d routed (moved=%v)", l.id, k, f.opps[k], r.opps[k], wantMoved[l.id])
+				t.Fatalf("%s: decision %d is %d flat, %d routed", l.id, k, f.opps[k], r.opps[k])
 			}
 		}
 		if phys(f.sim.Result()) != phys(r.sim.Result()) {
@@ -355,11 +382,11 @@ func runRouterFlatEquivalence(t *testing.T, fleetOpt serve.Options, rtOpt serve.
 	}
 
 	// Identical learning implies byte-identical frozen state, flat vs
-	// fleet, for every session — including the moved ones.
+	// fleet, for every session.
 	if _, err := flat.srv.CheckpointAll(); err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range fleet {
+	for _, rep := range fleet.reps {
 		if _, err := rep.srv.CheckpointAll(); err != nil {
 			t.Fatal(err)
 		}
@@ -374,17 +401,17 @@ func runRouterFlatEquivalence(t *testing.T, fleetOpt serve.Options, rtOpt serve.
 			t.Fatalf("fleet checkpoint for %s: %v", l.id, err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Errorf("%s: checkpoints differ flat vs fleet (%d vs %d bytes, moved=%v)",
-				l.id, len(a), len(b), wantMoved[l.id])
+			t.Errorf("%s: checkpoints differ flat vs fleet (%d vs %d bytes)", l.id, len(a), len(b))
 		}
 	}
 
-	// The router's aggregated views cover the whole fleet.
+	// The router's aggregated views cover the whole final fleet.
+	last := phases[len(phases)-1].replicas
 	var health struct {
 		Sessions int `json:"sessions"`
 		Replicas int `json:"replicas"`
 	}
-	resp, err := rtHTTP.Client().Get(rtHTTP.URL + "/healthz")
+	resp, err := fleet.http.Client().Get(fleet.http.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,13 +419,13 @@ func runRouterFlatEquivalence(t *testing.T, fleetOpt serve.Options, rtOpt serve.
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if health.Sessions != sessions || health.Replicas != replicas-1 {
-		t.Errorf("router healthz: %+v, want %d sessions on %d replicas", health, sessions, replicas-1)
+	if health.Sessions != sessions || health.Replicas != last {
+		t.Errorf("router healthz: %+v, want %d sessions on %d replicas", health, sessions, last)
 	}
 	var metrics struct {
 		Sessions map[string]json.RawMessage `json:"sessions"`
 	}
-	resp, err = rtHTTP.Client().Get(rtHTTP.URL + "/v1/metrics")
+	resp, err = fleet.http.Client().Get(fleet.http.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -718,13 +718,6 @@ func (s *Server) createSession(req createRequest) (*session, int, error) {
 		if err := scenario.WarmStart(learner, bytes.NewReader(req.State)); err != nil {
 			return nil, 400, err
 		}
-		// A manifest id riding alongside inline state is provenance, not a
-		// lookup: the router's hand-off re-creates a session with its
-		// frozen state inline and passes the manifest it originally
-		// warm-started from, so /v1/sessions/{id} keeps reporting it.
-		if req.WarmStart != "" && req.WarmStart != "auto" {
-			warmFrom = req.WarmStart
-		}
 		staged = true
 	}
 	if !staged && s.ckpt != nil {
@@ -920,10 +913,16 @@ func (s *Server) deleteSession(id string) bool {
 }
 
 // decide serialises one decision on the session and records its latency
-// (µs under the session lock, the figure /v1/metrics reports). Governor
-// panics (a malformed observation hitting a harness-bug assertion) are
-// contained per call so one bad request cannot take the server down.
+// (µs under the session lock, the figure /v1/metrics reports). A
+// non-finite reading is refused before the lock: fed to a learner it
+// would poison the Q-table, and every later checkpoint of the session
+// would fail to encode. Governor panics (a malformed observation hitting
+// a harness-bug assertion) are contained per call so one bad request
+// cannot take the server down.
 func (sess *session) decide(obs governor.Observation) (idx int, err error) {
+	if err := checkFinite(&obs); err != nil {
+		return -1, err
+	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.dead {
@@ -950,3 +949,38 @@ func (sess *session) decide(obs governor.Observation) (idx int, err error) {
 	sess.epochs++
 	return idx, nil
 }
+
+// checkFinite names the first NaN or ±Inf reading in obs. Every decide,
+// from either plane or relayed by a router, passes through
+// session.decide, so this is the one place that guards all of them.
+func checkFinite(obs *governor.Observation) error {
+	bad := ""
+	switch {
+	case !finite(obs.ExecTimeS):
+		bad = "exec_time_s"
+	case !finite(obs.PeriodS):
+		bad = "period_s"
+	case !finite(obs.WallTimeS):
+		bad = "wall_time_s"
+	case !finite(obs.PowerW):
+		bad = "power_w"
+	case !finite(obs.TempC):
+		bad = "temp_c"
+	}
+	if bad == "" {
+		for _, u := range obs.Util {
+			if !finite(u) {
+				bad = "util"
+				break
+			}
+		}
+	}
+	if bad == "" {
+		return nil
+	}
+	return fmt.Errorf("observation %s is not finite", bad)
+}
+
+// finite reports whether x is neither NaN nor ±Inf: x-x is 0 for every
+// finite x and NaN otherwise. One subtraction, on every decide.
+func finite(x float64) bool { return x-x == 0 }

@@ -70,8 +70,7 @@ type connBackend interface {
 	// Prometheus scrape renders it without a JSON round trip.
 	metrics() (metricsJSON, error)
 	// memberEpoch is the fleet membership epoch stamped into every decide
-	// reply (0 outside any fleet); direct clients compare it against
-	// their own table to detect ring changes from the data plane alone.
+	// reply (0 outside any fleet).
 	memberEpoch() uint32
 }
 

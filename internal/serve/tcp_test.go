@@ -1,18 +1,24 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"qgov/internal/governor"
 	"qgov/internal/serve"
 	"qgov/internal/serve/client"
+	"qgov/internal/sim"
+	"qgov/internal/workload"
 )
 
 // newTCPServer attaches a binary listener to an HTTP test server's
@@ -213,4 +219,115 @@ func newHTTPOnly(t *testing.T, srv *serve.Server) *testServer {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return &testServer{t: t, srv: srv, ts: ts}
+}
+
+// A non-finite reading must be refused before it reaches the learner: a
+// NaN in the RTM's Q-table would make every later checkpoint of the
+// session fail to encode. After 60 epochs of learning over binary TCP,
+// a frame with a NaN execution time and infinite power (and one frame
+// per other non-finite field) gets an explicit error, leaves the frozen
+// state byte-identical, and every later decide equals that of a twin
+// session that never saw the bad frames.
+func TestDecideRejectsNonFiniteObservation(t *testing.T) {
+	const (
+		wl     = "h264-football"
+		seed   = 5
+		frames = 120
+		warm   = 60
+	)
+	h := newTestServer(t, serve.Options{})
+	ts := newTCPServer(t, h)
+	cl, err := client.Dial(ts.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	gen, err := workload.ByName(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := gen(seed, frames)
+	sims := map[string]*sim.Session{}
+	for _, id := range []string{"bad", "twin"} {
+		if st := h.post("/v1/sessions", map[string]any{
+			"id": id, "governor": "rtm", "workload": wl,
+			"period_s": tr.RefTimeS, "seed": seed, "calibration_cc": tr.MaxPerFrame(),
+		}, nil); st != http.StatusCreated {
+			t.Fatalf("create %s returned %d", id, st)
+		}
+		sims[id] = sim.NewSession(scenarioConfig(t, "rtm/"+wl+"/a15", seed, frames))
+	}
+	decide := func(id string) int {
+		t.Helper()
+		d, err := cl.Decide(id, sims[id].Observe())
+		if err != nil || d.Err != "" {
+			t.Fatalf("decide %s: %v / %q", id, err, d.Err)
+		}
+		sims[id].Step(d.OPPIdx)
+		return d.OPPIdx
+	}
+	freeze := func(id string) []byte {
+		t.Helper()
+		st, body, err := cl.CheckpointSession(id)
+		if err != nil || st != http.StatusOK {
+			t.Fatalf("checkpoint: status %d err %v (%s)", st, err, body)
+		}
+		var ck struct {
+			State json.RawMessage `json:"state"`
+		}
+		if err := json.Unmarshal(body, &ck); err != nil {
+			t.Fatal(err)
+		}
+		return ck.State
+	}
+	for n := 0; n < warm; n++ {
+		if a, b := decide("bad"), decide("twin"); a != b {
+			t.Fatalf("epoch %d: twins diverged before the bad frame (%d vs %d)", n, a, b)
+		}
+	}
+
+	before := freeze("bad")
+	for _, spoil := range []func(o *governor.Observation){
+		func(o *governor.Observation) { o.ExecTimeS, o.PowerW = math.NaN(), math.Inf(1) },
+		func(o *governor.Observation) { o.PeriodS = math.Inf(-1) },
+		func(o *governor.Observation) { o.WallTimeS = math.NaN() },
+		func(o *governor.Observation) { o.TempC = math.Inf(1) },
+		func(o *governor.Observation) { o.Util = append([]float64(nil), o.Util...); o.Util[1] = math.NaN() },
+	} {
+		obs := sims["bad"].Observe()
+		spoil(&obs)
+		d, err := cl.Decide("bad", obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Err == "" || d.OPPIdx != -1 {
+			t.Fatalf("non-finite observation was decided: %+v", d)
+		}
+	}
+	if after := freeze("bad"); !bytes.Equal(before, after) {
+		t.Fatal("refused observation changed the learnt state")
+	}
+	// The twins stay in lockstep to the end of the trace, and learn the
+	// same state: nothing of the refused frame leaked into the learner.
+	for !sims["bad"].Done() {
+		if a, b := decide("bad"), decide("twin"); a != b {
+			t.Fatalf("decide after the refused frame is %d, twin's %d", a, b)
+		}
+	}
+	if !bytes.Equal(freeze("bad"), freeze("twin")) {
+		t.Fatal("learnt state differs from the twin's after the refused frame")
+	}
+
+	// JSON cannot carry NaN or Inf; an out-of-range literal is the
+	// nearest it gets, and the decode must refuse it.
+	resp, err := h.ts.Client().Post(h.ts.URL+"/v1/decide", "application/json", strings.NewReader(
+		`{"requests":[{"session":"bad","obs":{"epoch":1,"exec_time_s":1e400,"period_s":0.04,"wall_time_s":0.04,"power_w":2,"temp_c":50}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("JSON decide with 1e400 returned %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
 }

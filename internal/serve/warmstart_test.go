@@ -156,8 +156,9 @@ func TestWarmStartFromRegistry(t *testing.T) {
 // A session re-created under its old id must resume its OWN checkpoint
 // even when the create carries warm_start — the session's exact learnt
 // state beats any published manifest, and "auto" in a steady-state
-// create body must not swap it for a foreign policy. A manifest id
-// alongside inline state is recorded as provenance (the hand-off path).
+// create body must not swap it for a foreign policy. Inline state beats
+// a manifest id given beside it: the manifest is neither loaded nor
+// recorded.
 func TestOwnCheckpointBeatsWarmStart(t *testing.T) {
 	const frames = 300
 	blobs := registry.NewMem()
@@ -217,20 +218,26 @@ func TestOwnCheckpointBeatsWarmStart(t *testing.T) {
 		t.Error("re-created session did not resume its own checkpoint")
 	}
 
-	// Provenance: inline state + a manifest id records warm_manifest
-	// without a registry lookup of the state.
-	m, state := trainAndPublish(t, h, reg, "t-prov", "mpeg4-30fps", 4, frames)
-	var prov struct {
+	// Inline state + a manifest id: the inline state is what the session
+	// learns from, and no manifest is reported.
+	m, _ := trainAndPublish(t, h, reg, "t-other", "mpeg4-30fps", 4, frames)
+	var inline struct {
 		WarmManifest string `json:"warm_manifest"`
 	}
 	if st := h.post("/v1/sessions", map[string]any{
-		"id": "moved", "governor": "rtm", "seed": 4,
-		"state": state, "warm_start": m.ID,
-	}, &prov); st != http.StatusCreated {
-		t.Fatalf("create with state+provenance returned %d", st)
+		"id": "inline", "governor": "rtm", "seed": 4,
+		"state": frozen.State, "warm_start": m.ID,
+	}, &inline); st != http.StatusCreated {
+		t.Fatalf("create with inline state and a manifest id returned %d", st)
 	}
-	if prov.WarmManifest != m.ID {
-		t.Fatalf("provenance lost: warm_manifest %q, want %q", prov.WarmManifest, m.ID)
+	if inline.WarmManifest != "" {
+		t.Fatalf("inline-state session reports warm_manifest %q", inline.WarmManifest)
+	}
+	if st := h.post("/v1/sessions/inline/checkpoint", map[string]any{}, &refrozen); st != http.StatusOK {
+		t.Fatalf("checkpoint returned %d", st)
+	}
+	if !jsonEqual(t, frozen.State, refrozen.State) {
+		t.Error("inline state did not win over the manifest id beside it")
 	}
 }
 

@@ -206,9 +206,7 @@ type Observe struct {
 // when the request failed (unknown session, rejected observation);
 // requests fail independently, exactly like entries of the JSON batch.
 // MemberEpoch echoes the answering server's installed membership epoch
-// (0 on a flat server with no fleet table); a direct client comparing it
-// against its own table's epoch learns from the data plane alone that
-// the ring changed and a refetch is due.
+// (0 on a flat server with no fleet table).
 type Decide struct {
 	ID          uint32
 	MemberEpoch uint32
