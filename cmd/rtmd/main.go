@@ -73,8 +73,9 @@
 //
 //  1. Stop every rtmd gracefully (SIGINT/SIGTERM), the replicas too,
 //     so each replica's final sweep checkpoints every session it
-//     holds. A replica left running would keep the old router's
-//     membership table and forward misrouted decides by it.
+//     holds. A replica left running does install the new router's
+//     membership table, but the sessions it holds stay in its memory
+//     under the old placement.
 //  2. Start the replicas with one shared -registry-dir (or
 //     -checkpoint-dir), each with its own -ring-self and all with the
 //     same new -ring-members list.

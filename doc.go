@@ -46,8 +46,10 @@
 //	                     run one decide path and one control handler,
 //	                     and a batch's observations for one session
 //	                     apply in arrival order at any GOMAXPROCS;
-//	                     latency histograms + exploration/convergence
-//	                     counters on /v1/metrics, learning-state
+//	                     a fixed-size /v1/metrics document (server-wide
+//	                     latency histogram, counters; opt-in top-K
+//	                     learners) and a paginated /v1/sessions for
+//	                     per-session detail, learning-state
 //	                     checkpoints through a pluggable
 //	                     CheckpointStore, and a consistent-hash Router
 //	                     that shards sessions across a replica fleet

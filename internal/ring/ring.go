@@ -8,16 +8,18 @@
 // no coordination.
 //
 // The property that makes the ring the right structure for a session
-// fleet is bounded movement: removing one of N replicas reassigns only
-// the keys that replica owned (≈1/N of them, < 2/N with the default
-// virtual-node count — the ring tests enforce the bound) and moves no
-// key between two surviving replicas; adding a replica steals only the
-// keys it now owns. A modulo hash would reshuffle nearly everything.
+// fleet is bounded movement: a ring built without one of N replicas
+// reassigns only the keys that replica owned (≈1/N of them, < 2/N with
+// the default virtual-node count — the ring tests enforce the bound)
+// and moves no key between two surviving replicas; a ring with one more
+// replica steals only the keys the newcomer now owns. A modulo hash
+// would reshuffle nearly everything. Resharding a fleet is a restart
+// over a new member list, so this bounds how many sessions re-create on
+// a new owner.
 //
 // A Ring is not internally locked: Owner is safe for any number of
-// concurrent readers, but Add/Remove must be serialised against readers
-// by the caller (the router holds its own lock across membership
-// changes, which it must anyway to hand sessions off).
+// concurrent readers, but Add must be serialised against readers by the
+// caller (a router builds its ring once, before serving).
 package ring
 
 import (
@@ -82,17 +84,6 @@ func (r *Ring) Add(member string) bool {
 	r.members = append(r.members, "")
 	copy(r.members[i+1:], r.members[i:])
 	r.members[i] = member
-	r.rebuild()
-	return true
-}
-
-// Remove takes a member off the ring. It reports whether it was present.
-func (r *Ring) Remove(member string) bool {
-	i := sort.SearchStrings(r.members, member)
-	if i >= len(r.members) || r.members[i] != member {
-		return false
-	}
-	r.members = append(r.members[:i], r.members[i+1:]...)
 	r.rebuild()
 	return true
 }

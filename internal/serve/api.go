@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 
 	"qgov/internal/governor"
 	"qgov/internal/stats"
@@ -15,6 +17,10 @@ import (
 // Wire types. Floats round-trip exactly through encoding/json (shortest
 // representation that parses back to the same float64), which is what
 // lets a served governor reproduce a sim.Run decision for decision.
+// Every reply is bounded whatever the session count: /v1/metrics is a
+// fixed-size document (plus at most maxTopSessions top-K entries), and
+// per-session detail is a sessionInfo, one at a time or in pages of at
+// most maxListLimit.
 
 // createRequest creates one session.
 type createRequest struct {
@@ -70,6 +76,12 @@ type sessionInfo struct {
 	Epochs       int64   `json:"epochs"`
 	Explorations int     `json:"explorations"` // -1 for non-learners
 	ConvergedAt  int     `json:"converged_at"` // -1 while learning
+	// The ExplorationStats trio: where the ε schedule sits, how much
+	// experience the tables hold, and how much of the greedy policy has
+	// settled. Present only for learners that expose it.
+	Epsilon           *float64 `json:"epsilon,omitempty"`
+	VisitTotal        *int     `json:"visit_total,omitempty"`
+	ConvergedFraction *float64 `json:"converged_fraction,omitempty"`
 }
 
 type decideRequest struct {
@@ -138,6 +150,10 @@ func (s *Server) info(sess *session) sessionInfo {
 	if ls, ok := sess.learner.(governor.LearningStats); ok {
 		in.Explorations = ls.Explorations()
 		in.ConvergedAt = ls.ConvergedAtEpoch()
+	}
+	if es, ok := sess.learner.(governor.ExplorationStats); ok {
+		eps, visits, frac := es.Epsilon(), es.VisitTotal(), es.ConvergedFraction()
+		in.Epsilon, in.VisitTotal, in.ConvergedFraction = &eps, &visits, &frac
 	}
 	return in
 }
@@ -239,32 +255,15 @@ func latencyFromHistogram(h *stats.Histogram) latencyJSON {
 	return lj
 }
 
-// learningJSON is one session's explore→exploit position: where the ε
-// schedule sits, how much experience the tables hold, and how much of
-// the greedy policy has settled — the counters an operator reads to
-// tell "still exploring" from "converged and exploiting" without
-// touching the session.
-type learningJSON struct {
-	Epochs       int64 `json:"epochs"`
-	Explorations int   `json:"explorations"`
-	ConvergedAt  int   `json:"converged_at"` // -1 while learning
-	// The ExplorationStats trio; present only for learners that expose it.
-	Epsilon           *float64 `json:"epsilon,omitempty"`
-	VisitTotal        *int     `json:"visit_total,omitempty"`
-	ConvergedFraction *float64 `json:"converged_fraction,omitempty"`
-}
-
-// sessionMetricsJSON is one session's /v1/metrics entry: the latency
-// histogram fields (flat, as they have always been) plus the learning
-// counters for governors that learn.
-type sessionMetricsJSON struct {
-	latencyJSON
-	Learning *learningJSON `json:"learning,omitempty"`
-}
-
+// metricsJSON is the /v1/metrics document. Its size does not depend on
+// the session count: Top holds at most maxTopSessions entries.
 type metricsJSON struct {
-	Decisions int64                         `json:"decisions"`
-	Sessions  map[string]sessionMetricsJSON `json:"sessions"`
+	Decisions int64 `json:"decisions"`
+	// Sessions is the live session count (as /healthz); a router sums.
+	Sessions int `json:"sessions"`
+	// Top, only when asked for (?top=K), is the K learning sessions with
+	// the most epochs, busiest first; a router merges its replicas' tops.
+	Top []sessionInfo `json:"top,omitempty"`
 	// DecideLatency is the server-wide decision latency histogram — the
 	// striped aggregate every session's decides also land in, O(1) in
 	// session count. A router reports the fleet-wide bin-sum. Absent
@@ -300,14 +299,14 @@ type metricsJSON struct {
 }
 
 // metrics implements connBackend: it snapshots the view /v1/metrics
-// serves. Each session is snapshotted under its own lock, so metrics
-// reads interleave with serving without stalling the whole store. It
+// serves. The default document reads only server-wide counters and the
+// striped latency aggregate, so it takes no session lock and costs the
+// same at any session count; top > 0 adds the top busiest learners. It
 // never fails; the error is the router's.
-func (s *Server) metrics() (metricsJSON, error) {
-	all := s.snapshotSessions()
+func (s *Server) metrics(top int) (metricsJSON, error) {
 	out := metricsJSON{
 		Decisions:         s.decisions.Load(),
-		Sessions:          make(map[string]sessionMetricsJSON, len(all)),
+		Sessions:          s.sessions.Len(),
 		CheckpointWrites:  s.ckptWrites.Load(),
 		CheckpointSkipped: s.ckptSkipped.Load(),
 	}
@@ -318,29 +317,80 @@ func (s *Server) metrics() (metricsJSON, error) {
 	}
 	rs := stats.ReadRuntime()
 	out.Runtime = &rs
-	for _, sess := range all {
-		sess.mu.Lock()
-		lat := sess.lat
-		if lat == nil {
-			lat = emptyLatHist // not decided yet: histogram built lazily
-		}
-		mj := sessionMetricsJSON{latencyJSON: latencyFromHistogram(lat)}
-		if ls, ok := sess.learner.(governor.LearningStats); ok {
-			lj := &learningJSON{
-				Epochs:       sess.epochs,
-				Explorations: ls.Explorations(),
-				ConvergedAt:  ls.ConvergedAtEpoch(),
-			}
-			if es, ok := sess.learner.(governor.ExplorationStats); ok {
-				eps, visits, frac := es.Epsilon(), es.VisitTotal(), es.ConvergedFraction()
-				lj.Epsilon, lj.VisitTotal, lj.ConvergedFraction = &eps, &visits, &frac
-			}
-			mj.Learning = lj
-		}
-		sess.mu.Unlock()
-		out.Sessions[sess.id] = mj
+	if top = min(top, maxTopSessions); top > 0 {
+		out.Top = s.topLearners(top)
 	}
 	return out, nil
+}
+
+// topLearners returns the k learning sessions with the most epochs,
+// busiest first, from one walk of the store through a k-entry heap.
+func (s *Server) topLearners(k int) []sessionInfo {
+	type ranked struct {
+		sess   *session
+		epochs int64
+	}
+	best := bounded[ranked]{n: k, ahead: func(a, b ranked) bool {
+		return a.epochs > b.epochs || a.epochs == b.epochs && a.sess.id < b.sess.id
+	}}
+	s.sessions.Range(func(_ string, sess *session) bool {
+		if _, ok := sess.learner.(governor.LearningStats); ok {
+			sess.mu.Lock()
+			r := ranked{sess, sess.epochs}
+			sess.mu.Unlock()
+			best.offer(r)
+		}
+		return true
+	})
+	infos := make([]sessionInfo, len(best.h))
+	for i, r := range best.h {
+		infos[i] = s.info(r.sess)
+	}
+	sortBusiest(infos)
+	return infos
+}
+
+// sortBusiest orders top-K entries by epochs descending, then id: the
+// one order both tiers serve.
+func sortBusiest(infos []sessionInfo) {
+	slices.SortFunc(infos, func(a, b sessionInfo) int {
+		return cmp.Or(cmp.Compare(b.Epochs, a.Epochs), strings.Compare(a.ID, b.ID))
+	})
+}
+
+// bounded keeps the n best values offered under ahead (a ranks before
+// b) in a heap rooted at the worst value kept: one walk over any number
+// of candidates in O(n) space and O(log n) per offer. h is unordered.
+type bounded[T any] struct {
+	n     int
+	ahead func(a, b T) bool
+	h     []T
+}
+
+func (b *bounded[T]) offer(v T) {
+	i := len(b.h)
+	if i < b.n { // room left: append and sift up past better parents
+		b.h = append(b.h, v)
+		for ; i > 0 && b.ahead(b.h[(i-1)/2], b.h[i]); i = (i - 1) / 2 {
+			b.h[(i-1)/2], b.h[i] = b.h[i], b.h[(i-1)/2]
+		}
+		return
+	}
+	if i == 0 || !b.ahead(v, b.h[0]) {
+		return
+	}
+	b.h[0] = v // evict the worst, then sift down past worse children
+	for i = 0; 2*i+1 < len(b.h); {
+		w := 2*i + 1
+		if w+1 < len(b.h) && b.ahead(b.h[w], b.h[w+1]) {
+			w++
+		}
+		if !b.ahead(b.h[i], b.h[w]) {
+			break
+		}
+		b.h[i], b.h[w] = b.h[w], b.h[i]
+		i = w
+	}
 }
 
 // mergeLatencyJSON folds one rendered latency histogram into an
@@ -405,16 +455,59 @@ func latencyJSONQuantile(lj *latencyJSON, q float64) *float64 {
 	return nil
 }
 
-// listInfos snapshots every session's info, sorted by id — the body of
-// the binary OpList (what a router enumerates when draining a replica).
-func (s *Server) listInfos() []sessionInfo {
-	all := s.snapshotSessions()
-	infos := make([]sessionInfo, 0, len(all))
-	for _, sess := range all {
-		infos = append(infos, s.info(sess))
+// Session list paging (GET /v1/sessions, OpList): a page holds at most
+// maxListLimit sessions, so a reply stays far under wire.MaxPayload at
+// any session count (an id is at most 128 bytes, an entry a few hundred).
+const (
+	defaultListLimit = 100
+	maxListLimit     = 1000
+)
+
+// controlQuery is the optional JSON body of OpMetrics ({"top": K}) and
+// OpList ({"after": id, "limit": n}); an empty body is the zero value.
+type controlQuery struct {
+	Top   int    `json:"top,omitempty"`
+	After string `json:"after,omitempty"`
+	Limit int    `json:"limit,omitempty"`
+}
+
+// limit is the page size the query resolves to.
+func (q controlQuery) limit() int {
+	if q.Limit <= 0 {
+		return defaultListLimit
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
-	return infos
+	return min(q.Limit, maxListLimit)
+}
+
+// sessionPage is one page of the session list, sorted by id. Next is the
+// cursor (the after) of the following page, empty on the last one.
+type sessionPage struct {
+	Sessions []sessionInfo `json:"sessions"`
+	Next     string        `json:"next,omitempty"`
+}
+
+// listPage answers one page of the session list: one walk of the store
+// keeps the limit+1 smallest ids after the cursor in a bounded heap (the
+// extra one only says whether a next page exists).
+func (s *Server) listPage(q controlQuery) sessionPage {
+	n := q.limit()
+	best := bounded[*session]{n: n + 1, ahead: func(a, b *session) bool { return a.id < b.id }}
+	s.sessions.Range(func(id string, sess *session) bool {
+		if id > q.After {
+			best.offer(sess)
+		}
+		return true
+	})
+	slices.SortFunc(best.h, func(a, b *session) int { return strings.Compare(a.id, b.id) })
+	page := sessionPage{Sessions: make([]sessionInfo, 0, n)}
+	for i, sess := range best.h {
+		if i == n {
+			page.Next = page.Sessions[n-1].ID
+			break
+		}
+		page.Sessions = append(page.Sessions, s.info(sess))
+	}
+	return page
 }
 
 // healthJSON is the /healthz body on both control planes: liveness plus

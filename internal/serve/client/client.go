@@ -25,6 +25,7 @@ package client
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -572,14 +573,41 @@ func (c *Client) SessionInfo(id string) (int, []byte, error) {
 	return c.Control(wire.OpInfo, id, nil)
 }
 
-// Metrics returns the server's /v1/metrics JSON.
-func (c *Client) Metrics() (int, []byte, error) {
-	return c.Control(wire.OpMetrics, "", nil)
+// Metrics returns the server's /v1/metrics JSON: the fixed-size
+// document, plus the top busiest learning sessions when top > 0 (the
+// server caps it at 64).
+func (c *Client) Metrics(top int) (int, []byte, error) {
+	return c.Control(wire.OpMetrics, "", metricsQuery(top))
 }
 
-// ListSessions returns the JSON array of every session's info.
-func (c *Client) ListSessions() (int, []byte, error) {
-	return c.Control(wire.OpList, "", nil)
+// ListSessions returns one page of session infos sorted by id: the
+// sessions whose ids sort after the cursor, at most limit of them
+// (<= 0 selects the server's default of 100; the cap is 1,000). The
+// reply's "next" field is the cursor for the following page, empty on
+// the last one.
+func (c *Client) ListSessions(after string, limit int) (int, []byte, error) {
+	return c.Control(wire.OpList, "", listQuery(after, limit))
+}
+
+// metricsQuery encodes the OpMetrics request body; nil asks for the
+// default document.
+func metricsQuery(top int) []byte {
+	if top <= 0 {
+		return nil
+	}
+	b, _ := json.Marshal(struct {
+		Top int `json:"top"`
+	}{top})
+	return b
+}
+
+// listQuery encodes the OpList request body.
+func listQuery(after string, limit int) []byte {
+	b, _ := json.Marshal(struct {
+		After string `json:"after,omitempty"`
+		Limit int    `json:"limit,omitempty"`
+	}{after, limit})
+	return b
 }
 
 // Health returns the server's /healthz JSON (O(1) on the server).

@@ -353,9 +353,10 @@ func (f *Fleet) SessionInfo(id string) (int, []byte, error) {
 	return f.Control(wire.OpInfo, id, nil)
 }
 
-// Metrics returns the fleet-merged /v1/metrics JSON via the router.
-func (f *Fleet) Metrics() (int, []byte, error) {
-	return f.Control(wire.OpMetrics, "", nil)
+// Metrics returns the fleet-merged /v1/metrics JSON via the router, with
+// the fleet's top busiest learning sessions when top > 0.
+func (f *Fleet) Metrics(top int) (int, []byte, error) {
+	return f.Control(wire.OpMetrics, "", metricsQuery(top))
 }
 
 // Close tears down the router connection and every replica connection.

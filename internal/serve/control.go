@@ -56,12 +56,18 @@ func (s *Server) control(op byte, session string, body []byte) (status uint16, r
 		}
 		return http.StatusOK, jsonBody(s.info(sess))
 
-	case wire.OpMetrics:
-		m, _ := s.metrics()
+	case wire.OpMetrics, wire.OpList:
+		var q controlQuery
+		if len(body) > 0 {
+			if err := json.Unmarshal(body, &q); err != nil {
+				return http.StatusBadRequest, errorBody(err)
+			}
+		}
+		if op == wire.OpList {
+			return http.StatusOK, jsonBody(s.listPage(q))
+		}
+		m, _ := s.metrics(q.Top)
 		return http.StatusOK, jsonBody(m)
-
-	case wire.OpList:
-		return http.StatusOK, jsonBody(s.listInfos())
 
 	case wire.OpHealth:
 		return http.StatusOK, jsonBody(s.health())

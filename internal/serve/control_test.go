@@ -79,25 +79,31 @@ func TestTCPControlPlaneLifecycle(t *testing.T) {
 		t.Fatalf("HTTP sees %+v (status %d)", hinfo, st)
 	}
 
-	// List includes it; metrics carries its histogram.
-	if st, body, err = cl.ListSessions(); err != nil || st != http.StatusOK {
+	// List includes it; metrics counts it, and top=1 names it with its
+	// epochs.
+	if st, body, err = cl.ListSessions("", 0); err != nil || st != http.StatusOK {
 		t.Fatalf("list: status %d err %v", st, err)
 	}
-	var infos []struct {
-		ID string `json:"id"`
+	var page struct {
+		Sessions []struct {
+			ID string `json:"id"`
+		} `json:"sessions"`
+		Next string `json:"next"`
 	}
-	if err := json.Unmarshal(body, &infos); err != nil || len(infos) != 1 || infos[0].ID != "bc0" {
+	if err := json.Unmarshal(body, &page); err != nil || len(page.Sessions) != 1 || page.Sessions[0].ID != "bc0" || page.Next != "" {
 		t.Fatalf("list body %s (err %v)", body, err)
 	}
-	if st, body, err = cl.Metrics(); err != nil || st != http.StatusOK {
+	if st, body, err = cl.Metrics(1); err != nil || st != http.StatusOK {
 		t.Fatalf("metrics: status %d err %v", st, err)
 	}
 	var m struct {
-		Sessions map[string]struct {
-			Count int `json:"count"`
-		} `json:"sessions"`
+		Sessions int `json:"sessions"`
+		Top      []struct {
+			ID     string `json:"id"`
+			Epochs int    `json:"epochs"`
+		} `json:"top"`
 	}
-	if err := json.Unmarshal(body, &m); err != nil || m.Sessions["bc0"].Count != 5 {
+	if err := json.Unmarshal(body, &m); err != nil || m.Sessions != 1 || len(m.Top) != 1 || m.Top[0].ID != "bc0" || m.Top[0].Epochs != 5 {
 		t.Fatalf("metrics body %s (err %v)", body, err)
 	}
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,9 +61,11 @@ func (s *Server) membersTable() wire.Members {
 }
 
 // installMembers answers an OpMembers push: it installs the table if it
-// is newer than the current one. Stale pushes (an older epoch, or a
-// re-push of the same one) are ignored; the reply body always carries
-// the table now in force.
+// is newer than the current one, or has the same epoch and a different
+// ring — every router pushes one fixed epoch, so that is a router
+// restarted over a new -replicas list while the replicas stayed up.
+// Older epochs and identical re-pushes are ignored; the reply body
+// always carries the table now in force.
 func (s *Server) installMembers(msg wire.Members) (uint16, []byte) {
 	if msg.Epoch == 0 || len(msg.Members) == 0 {
 		return http.StatusBadRequest, errorBody(errf("members push needs a non-zero epoch and at least one member"))
@@ -79,10 +82,11 @@ func (s *Server) installMembers(msg wire.Members) (uint16, []byte) {
 	}
 
 	s.fleetMu.Lock()
-	if s.fleet != nil && msg.Epoch <= s.fleet.table.Epoch {
-		cur := s.fleet.table
+	// Members arrive sorted (ring.Members), so equal rings compare equal.
+	if cur := s.fleet; cur != nil && (msg.Epoch < cur.table.Epoch || msg.Epoch == cur.table.Epoch &&
+		msg.VNodes == cur.table.VNodes && msg.Self == cur.table.Self && slices.Equal(msg.Members, cur.table.Members)) {
 		s.fleetMu.Unlock()
-		return http.StatusOK, jsonBody(cur)
+		return http.StatusOK, jsonBody(cur.table)
 	}
 	s.fleet = &fleetView{table: msg, ring: ring.New(msg.VNodes, msg.Members...)}
 	s.fleetEpoch.Store(msg.Epoch)

@@ -16,6 +16,7 @@ import (
 	"qgov/internal/serve"
 	"qgov/internal/serve/client"
 	"qgov/internal/sim"
+	"qgov/internal/wire"
 	"qgov/internal/workload"
 )
 
@@ -129,8 +130,8 @@ func TestRouterDegradedFleet(t *testing.T) {
 	}
 
 	var metrics struct {
-		Sessions map[string]json.RawMessage `json:"sessions"`
-		Degraded []string                   `json:"degraded_replicas"`
+		Sessions int      `json:"sessions"`
+		Degraded []string `json:"degraded_replicas"`
 	}
 	if st := getJSON(t, rtHTTP.URL+"/v1/metrics", &metrics); st != http.StatusOK {
 		t.Fatalf("degraded metrics returned %d, want 200", st)
@@ -138,8 +139,8 @@ func TestRouterDegradedFleet(t *testing.T) {
 	if len(metrics.Degraded) != 1 || metrics.Degraded[0] != dead {
 		t.Fatalf("metrics degraded_replicas = %v, want [%s]", metrics.Degraded, dead)
 	}
-	if len(metrics.Sessions) != perOwner[addrs[1]] {
-		t.Errorf("metrics carries %d sessions, want the live replica's %d", len(metrics.Sessions), perOwner[addrs[1]])
+	if metrics.Sessions != perOwner[addrs[1]] {
+		t.Errorf("metrics counts %d sessions, want the live replica's %d", metrics.Sessions, perOwner[addrs[1]])
 	}
 
 	// The scrape surface names the gap too.
@@ -157,19 +158,21 @@ func TestRouterDegradedFleet(t *testing.T) {
 		t.Errorf("prometheus exposition does not name the degraded replica:\n%s", scrape)
 	}
 
-	st, body, err := cl.ListSessions()
+	st, body, err := cl.ListSessions("", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st != http.StatusPartialContent {
 		t.Fatalf("degraded list returned %d, want 206", st)
 	}
-	var list []json.RawMessage
+	var list struct {
+		Sessions []json.RawMessage `json:"sessions"`
+	}
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatalf("degraded list body: %v (%s)", err, body)
 	}
-	if len(list) != perOwner[addrs[1]] {
-		t.Errorf("degraded list has %d sessions, want %d", len(list), perOwner[addrs[1]])
+	if len(list.Sessions) != perOwner[addrs[1]] {
+		t.Errorf("degraded list has %d sessions, want %d", len(list.Sessions), perOwner[addrs[1]])
 	}
 
 	// Zero replicas up: now the aggregates genuinely fail.
@@ -181,8 +184,75 @@ func TestRouterDegradedFleet(t *testing.T) {
 	if st := getJSON(t, rtHTTP.URL+"/v1/metrics", nil); st != http.StatusBadGateway {
 		t.Fatalf("all-down metrics returned %d, want 502", st)
 	}
-	if st, _, err := cl.ListSessions(); err != nil || st != http.StatusBadGateway {
+	if st, _, err := cl.ListSessions("", 0); err != nil || st != http.StatusBadGateway {
 		t.Fatalf("all-down list returned %d err %v, want 502", st, err)
+	}
+}
+
+// A router restarted over a new replica list re-pushes its table at the
+// same fixed epoch every router uses. Replicas that stayed up through
+// the restart must install it anyway (the ring differs), or they keep
+// forwarding misrouted decides by the old router's ring: 3 replicas, a
+// router over the first 2 closed, a new router over all 3, and then one
+// decide per session sent straight to every replica that does not own
+// it must be forwarded to the owner and answered.
+func TestRouterRestartOverNewReplicaList(t *testing.T) {
+	_, addrs := newFleet(t, 3, serve.Options{})
+	old, err := serve.NewRouter(addrs[:2], serve.RouterOptions{ProbeEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := serve.NewRouter(addrs, serve.RouterOptions{ProbeEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rcl, err := client.Dial(startRouterTCP(t, rt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcl.Close()
+
+	direct := make(map[string]*client.Client, len(addrs))
+	for _, addr := range addrs {
+		cl, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		direct[addr] = cl
+		st, body, err := cl.Members()
+		var m wire.Members
+		if err != nil || st != http.StatusOK || json.Unmarshal(body, &m) != nil {
+			t.Fatalf("members of %s: status %d err %v (%s)", addr, st, err, body)
+		}
+		if len(m.Members) != len(addrs) || m.Self != addr {
+			t.Errorf("replica %s holds table %+v, want the new router's %d members", addr, m, len(addrs))
+		}
+	}
+	misrouted, failed := 0, 0
+	for i := 0; i < 30; i++ {
+		id := fmt.Sprintf("rs-%d", i)
+		if st, r, err := rcl.CreateSession(fmt.Appendf(nil, `{"id":%q,"governor":"ondemand"}`, id)); err != nil || st != http.StatusCreated {
+			t.Fatalf("create %s: status %d err %v (%s)", id, st, err, r)
+		}
+		owner, _ := rt.Owner(id)
+		for _, addr := range addrs {
+			if addr == owner {
+				continue
+			}
+			misrouted++
+			if d, err := direct[addr].Decide(id, steadyObs()); err != nil || d.Err != "" {
+				failed++
+				t.Logf("decide for %s sent to %s (owner %s): %v / %q", id, addr, owner, err, d.Err)
+			}
+		}
+	}
+	if failed > 0 {
+		t.Errorf("%d of %d misrouted decides failed after the router restart", failed, misrouted)
 	}
 }
 

@@ -24,8 +24,9 @@ const maxBodyBytes = 32 << 20
 // batch.
 const maxDecideBatch = 4096
 
-// maxTopSessions bounds ?top=K: per-session series are opt-in detail, and
-// even opted in, the scrape must stay bounded whatever K the URL carries.
+// maxTopSessions bounds ?top=K (both encodings): per-session entries are
+// opt-in detail, and even opted in, the document must stay bounded
+// whatever K the URL carries.
 const maxTopSessions = 64
 
 // Handler returns the flat server's HTTP API.
@@ -54,24 +55,29 @@ func newHTTPHandler(b connBackend) http.Handler {
 	mux.HandleFunc("POST /v1/decide", func(w http.ResponseWriter, r *http.Request) {
 		serveDecide(b, w, r)
 	})
+	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
+		status, body := b.control(wire.OpList, "", jsonBody(urlQuery(r)))
+		writeControlResult(w, status, body)
+	})
 	mux.HandleFunc("GET /v1/sessions/{id}", ctl(wire.OpInfo))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", ctl(wire.OpDelete))
 	mux.HandleFunc("POST /v1/sessions/{id}/checkpoint", ctl(wire.OpCheckpoint))
 	mux.HandleFunc("GET /v1/members", ctl(wire.OpMembers))
 	mux.HandleFunc("GET /healthz", ctl(wire.OpHealth))
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
+		q := urlQuery(r)
 		if !wantsPrometheus(r) {
-			status, body := b.control(wire.OpMetrics, "", nil)
+			status, body := b.control(wire.OpMetrics, "", jsonBody(q))
 			writeControlResult(w, status, body)
 			return
 		}
-		m, err := b.metrics()
+		m, err := b.metrics(q.Top)
 		if err != nil {
 			writeError(w, http.StatusBadGateway, err)
 			return
 		}
 		w.Header().Set("Content-Type", prometheusContentType)
-		writePrometheus(w, m, topSessions(r))
+		writePrometheus(w, m)
 	})
 	mux.HandleFunc("GET /v1/trace", func(w http.ResponseWriter, r *http.Request) {
 		q, err := traceQueryFromRequest(r)
@@ -125,19 +131,15 @@ func serveDecide(b connBackend, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// topSessions reads the Prometheus scrape's ?top=K knob: how many of the
-// busiest sessions get per-session series. The default 0 keeps the
-// exposition O(1) in session count.
-func topSessions(r *http.Request) int {
-	s := r.URL.Query().Get("top")
-	if s == "" {
-		return 0
-	}
-	k, err := strconv.Atoi(s)
-	if err != nil || k < 0 {
-		return 0
-	}
-	return min(k, maxTopSessions)
+// urlQuery reads the metrics and list knobs off the URL: ?top=K (how
+// many of the busiest learning sessions the metrics document lists; the
+// default 0 keeps it fixed-size) and ?after=&limit= (a page of the
+// session list). A missing or malformed number reads as 0, the default.
+func urlQuery(r *http.Request) controlQuery {
+	v := r.URL.Query()
+	top, _ := strconv.Atoi(v.Get("top"))
+	limit, _ := strconv.Atoi(v.Get("limit"))
+	return controlQuery{Top: top, After: v.Get("after"), Limit: limit}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

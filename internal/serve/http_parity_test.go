@@ -71,13 +71,11 @@ func TestHTTPParityFlatVsRouter(t *testing.T) {
 	}
 	metricsJSON := func(t *testing.T, _ http.Header, body []byte) any {
 		var m struct {
-			Decisions int64 `json:"decisions"`
-			Sessions  map[string]struct {
-				Count    int             `json:"count"`
-				Learning json.RawMessage `json:"learning"`
-			} `json:"sessions"`
-			CheckpointWrites int64 `json:"checkpoint_writes"`
-			QTablePoolPages  int64 `json:"qtable_pool_pages"`
+			Decisions        int64           `json:"decisions"`
+			Sessions         int             `json:"sessions"`
+			Top              json.RawMessage `json:"top"`
+			CheckpointWrites int64           `json:"checkpoint_writes"`
+			QTablePoolPages  int64           `json:"qtable_pool_pages"`
 		}
 		if err := json.Unmarshal(body, &m); err != nil {
 			t.Fatal(err)
@@ -103,6 +101,7 @@ func TestHTTPParityFlatVsRouter(t *testing.T) {
 	script := []parityStep{
 		{want: 201, method: "POST", path: "/v1/sessions", body: `{"id":"p1","governor":"rtm","seed":1}`},
 		{want: 409, method: "POST", path: "/v1/sessions", body: `{"id":"p1","governor":"rtm","seed":1}`},
+		{want: 201, method: "POST", path: "/v1/sessions", body: `{"id":"p2","governor":"ondemand"}`},
 		{want: 400, method: "POST", path: "/v1/sessions", body: `{"id":`},
 		{want: 400, method: "POST", path: "/v1/sessions", body: `{"id":"bad/id","governor":"rtm"}`},
 		{want: 200, method: "GET", path: "/v1/sessions/p1"},
@@ -118,6 +117,11 @@ func TestHTTPParityFlatVsRouter(t *testing.T) {
 		{want: 200, method: "GET", path: "/v1/trace?limit=5"},
 		{want: 200, method: "GET", path: "/healthz", project: health},
 		{want: 200, method: "GET", path: "/v1/metrics", project: metricsJSON},
+		{want: 200, method: "GET", path: "/v1/metrics?top=3", project: metricsJSON},
+		{want: 200, method: "GET", path: "/v1/sessions"},
+		{want: 200, method: "GET", path: "/v1/sessions?after=p0&limit=1"},
+		{want: 200, method: "GET", path: "/v1/sessions?after=p1"},
+		{want: 200, method: "GET", path: "/v1/sessions?limit=x"},
 		{want: 200, method: "GET", path: "/v1/metrics?format=prometheus", project: prometheus},
 		{want: 200, method: "GET", path: "/v1/members", project: statusOnly},
 		{want: 204, method: "DELETE", path: "/v1/sessions/p1"},

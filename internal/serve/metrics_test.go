@@ -7,7 +7,9 @@ import (
 	"qgov/internal/serve"
 )
 
+// learningMetrics is one top-K entry of /v1/metrics (a session info).
 type learningMetrics struct {
+	ID                string   `json:"id"`
 	Epochs            int64    `json:"epochs"`
 	Explorations      int      `json:"explorations"`
 	ConvergedAt       int      `json:"converged_at"`
@@ -17,30 +19,32 @@ type learningMetrics struct {
 }
 
 type latencyMetrics struct {
-	Count      int              `json:"count"`
-	LoUS       float64          `json:"lo_us"`
-	HiUS       float64          `json:"hi_us"`
-	BinWidthUS float64          `json:"bin_width_us"`
-	Scale      string           `json:"scale"`
-	EdgesUS    []float64        `json:"edges_us"`
-	Bins       []int            `json:"bins"`
-	Underflow  int              `json:"underflow"`
-	Overflow   int              `json:"overflow"`
-	P99US      *float64         `json:"p99_us"`
-	P999US     *float64         `json:"p999_us"`
-	Learning   *learningMetrics `json:"learning"`
+	Count      int       `json:"count"`
+	LoUS       float64   `json:"lo_us"`
+	HiUS       float64   `json:"hi_us"`
+	BinWidthUS float64   `json:"bin_width_us"`
+	Scale      string    `json:"scale"`
+	EdgesUS    []float64 `json:"edges_us"`
+	Bins       []int     `json:"bins"`
+	Underflow  int       `json:"underflow"`
+	Overflow   int       `json:"overflow"`
+	P99US      *float64  `json:"p99_us"`
+	P999US     *float64  `json:"p999_us"`
 }
 
 type metricsResponse struct {
-	Decisions int64                     `json:"decisions"`
-	Sessions  map[string]latencyMetrics `json:"sessions"`
+	Decisions     int64             `json:"decisions"`
+	Sessions      int               `json:"sessions"`
+	Top           []learningMetrics `json:"top"`
+	DecideLatency *latencyMetrics   `json:"decide_latency"`
 }
 
 // After a known decision sequence, /v1/metrics must account for every
-// decision exactly once in that session's latency histogram: the bin
+// decision exactly once in the server-wide latency histogram: the bin
 // counts (plus overflow) sum to the number of decisions served, nothing
 // lands below the range, and the histogram geometry is the advertised
-// log-width grid over [1 µs, 1 s] with explicit bin edges.
+// log-width grid over [100 ns, 1 s] with explicit bin edges. Sessions
+// are a count; their learning detail is behind ?top=K.
 func TestMetricsLatencyHistogram(t *testing.T) {
 	const decisions = 37
 	h := newTestServer(t, serve.Options{})
@@ -80,9 +84,15 @@ func TestMetricsLatencyHistogram(t *testing.T) {
 		t.Errorf("server counted %d decisions, want %d", m.Decisions, decisions)
 	}
 
-	lat, ok := m.Sessions["m0"]
-	if !ok {
-		t.Fatalf("metrics missing session m0: %+v", m.Sessions)
+	if m.Sessions != 2 {
+		t.Errorf("metrics counts %d sessions, want 2", m.Sessions)
+	}
+	if m.Top != nil {
+		t.Errorf("default metrics lists sessions: %+v", m.Top)
+	}
+	lat := m.DecideLatency
+	if lat == nil {
+		t.Fatal("metrics missing decide_latency")
 	}
 	if lat.LoUS != 0.1 || lat.HiUS != 1e6 || len(lat.Bins) != 70 {
 		t.Errorf("histogram geometry %g..%g × %d bins, want 0.1..1e6 × 70",
@@ -127,22 +137,18 @@ func TestMetricsLatencyHistogram(t *testing.T) {
 		t.Errorf("bins account for %d decisions, want %d", sum, decisions)
 	}
 
-	idle, ok := m.Sessions["idle"]
-	if !ok {
-		t.Fatal("metrics missing the idle session")
+	// Exploration/convergence counters are opt-in per session: ?top=K
+	// lists the learners with the most epochs, busiest first. The RTM
+	// holds ε at ε₀ for its first 110 epochs, accumulates one table visit
+	// per decision, and cannot have a converged policy 37 epochs in.
+	if st := h.get("/v1/metrics?top=5", &m); st != http.StatusOK {
+		t.Fatalf("metrics?top=5 returned %d", st)
 	}
-	if idle.Count != 0 {
-		t.Errorf("idle session reports %d samples", idle.Count)
+	if len(m.Top) != 2 || m.Top[0].ID != "m0" || m.Top[1].ID != "idle" {
+		t.Fatalf("top entries %+v, want m0 then idle", m.Top)
 	}
-
-	// Exploration/convergence counters ride next to the histogram for
-	// learning governors. The RTM holds ε at ε₀ for its first 110
-	// epochs, accumulates one table visit per decision, and cannot have
-	// a converged policy 37 epochs in.
-	lrn := lat.Learning
-	if lrn == nil {
-		t.Fatal("metrics missing the learning block for an RTM session")
-	}
+	idle := m.Top[1]
+	lrn := m.Top[0]
 	if lrn.Epochs != decisions {
 		t.Errorf("learning epochs = %d, want %d", lrn.Epochs, decisions)
 	}
@@ -161,22 +167,30 @@ func TestMetricsLatencyHistogram(t *testing.T) {
 	if lrn.Explorations < 0 {
 		t.Errorf("explorations = %d", lrn.Explorations)
 	}
-	if idle.Learning == nil || idle.Learning.Epochs != 0 {
-		t.Errorf("idle session learning block: %+v", idle.Learning)
+	if idle.Epochs != 0 || idle.VisitTotal == nil || *idle.VisitTotal != 0 {
+		t.Errorf("idle session entry: %+v", idle)
 	}
 }
 
-// A non-learning governor carries no learning block.
+// A non-learning governor is never a top-K entry, and its info carries
+// no exploration fields.
 func TestMetricsOmitsLearningForNonLearners(t *testing.T) {
 	h := newTestServer(t, serve.Options{})
 	if st := h.post("/v1/sessions", map[string]any{"id": "od", "governor": "ondemand"}, nil); st != http.StatusCreated {
 		t.Fatalf("create returned %d", st)
 	}
 	var m metricsResponse
-	if st := h.get("/v1/metrics", &m); st != http.StatusOK {
+	if st := h.get("/v1/metrics?top=5", &m); st != http.StatusOK {
 		t.Fatalf("metrics returned %d", st)
 	}
-	if m.Sessions["od"].Learning != nil {
-		t.Errorf("ondemand session reports learning counters: %+v", m.Sessions["od"].Learning)
+	if m.Sessions != 1 || len(m.Top) != 0 {
+		t.Errorf("ondemand session: %d sessions, top %+v; want 1 and no entries", m.Sessions, m.Top)
+	}
+	var info learningMetrics
+	if st := h.get("/v1/sessions/od", &info); st != http.StatusOK {
+		t.Fatalf("info returned %d", st)
+	}
+	if info.Explorations != -1 || info.Epsilon != nil || info.VisitTotal != nil || info.ConvergedFraction != nil {
+		t.Errorf("ondemand info reports learning counters: %+v", info)
 	}
 }

@@ -16,14 +16,16 @@ import (
 // the router expose it by re-rendering whatever they would have served
 // as JSON — one source of truth, two encodings.
 //
-// The exposition is O(1) in session count: the decision-latency histogram
-// is the server-wide striped aggregate, one 70-bucket family however many
-// sessions exist. Per-session detail (latency histogram and learning
-// gauges) is opt-in via ?top=K, which emits series for the K
-// most-decided sessions under the separate rtmd_session_* families —
-// a 10k-session fleet at the default scrape renders the same byte count
-// as an idle one, and an operator debugging a hot session turns the
-// detail on per request without changing server state.
+// The exposition is fixed-size in both output and work: the document it
+// renders holds only counters, gauges and the server-wide striped
+// decision-latency aggregate (one 70-bucket family however many sessions
+// exist), and building it takes no session lock. Per-session learning
+// gauges are opt-in via ?top=K (K <= 64), which emits the K learning
+// sessions with the most epochs under the separate rtmd_session_*
+// families — a 10k-session fleet at the default scrape costs what an
+// idle one does, and an operator debugging a hot session turns the
+// detail on per request without changing server state. Per-session
+// detail beyond that is GET /v1/sessions, paginated.
 
 // wantsPrometheus reports whether a metrics request asked for the text
 // exposition format: ?format=prometheus, or an Accept header preferring
@@ -49,16 +51,16 @@ func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // newline) is exactly what the exposition format requires.
 
 // writePrometheus renders the metrics document in text exposition
-// format. topK > 0 additionally emits per-session series for the K
-// most-decided sessions; 0 keeps the scrape free of per-session
-// cardinality entirely.
-func writePrometheus(w io.Writer, m metricsJSON, topK int) {
+// format. A document carrying top entries (the request asked for ?top=K)
+// adds their learning gauges; without them the scrape has no
+// per-session cardinality at all.
+func writePrometheus(w io.Writer, m metricsJSON) {
 	fmt.Fprintf(w, "# HELP rtmd_decisions_total Operating-point decisions served.\n")
 	fmt.Fprintf(w, "# TYPE rtmd_decisions_total counter\n")
 	fmt.Fprintf(w, "rtmd_decisions_total %d\n", m.Decisions)
 	fmt.Fprintf(w, "# HELP rtmd_sessions Live sessions.\n")
 	fmt.Fprintf(w, "# TYPE rtmd_sessions gauge\n")
-	fmt.Fprintf(w, "rtmd_sessions %d\n", len(m.Sessions))
+	fmt.Fprintf(w, "rtmd_sessions %d\n", m.Sessions)
 	fmt.Fprintf(w, "# HELP rtmd_replicas_degraded Fleet members the last aggregation could not reach (always 0 on a flat server).\n")
 	fmt.Fprintf(w, "# TYPE rtmd_replicas_degraded gauge\n")
 	fmt.Fprintf(w, "rtmd_replicas_degraded %d\n", len(m.DegradedReplicas))
@@ -89,9 +91,11 @@ func writePrometheus(w io.Writer, m metricsJSON, topK int) {
 	}
 
 	// The server-wide aggregate: one histogram whatever the session count.
-	agg := latencyFromHistogram(emptyLatHist) // zero shape: no decisions yet
+	var agg latencyJSON
 	if m.DecideLatency != nil {
 		agg = *m.DecideLatency
+	} else {
+		agg = latencyFromHistogram(newLatHist()) // zero shape: no decisions yet
 	}
 	fmt.Fprintf(w, "# HELP rtmd_decision_latency_seconds Decision latency under the session lock, aggregated server-wide.\n")
 	fmt.Fprintf(w, "# TYPE rtmd_decision_latency_seconds histogram\n")
@@ -140,77 +144,38 @@ func writePrometheus(w io.Writer, m metricsJSON, topK int) {
 		fmt.Fprintf(w, "rtmd_go_sched_latency_p99_seconds %s\n", promFloat(rs.SchedLatencyP99S))
 	}
 
-	if topK <= 0 {
-		return
-	}
-	ids := topSessionIDs(m, topK)
-
-	fmt.Fprintf(w, "# HELP rtmd_session_decision_latency_seconds Decision latency for the top-K most-decided sessions (opt-in via ?top=K).\n")
-	fmt.Fprintf(w, "# TYPE rtmd_session_decision_latency_seconds histogram\n")
-	for _, id := range ids {
-		writeLatencyHistogram(w, "rtmd_session_decision_latency_seconds", "session", id, m.Sessions[id].latencyJSON)
-	}
-	fmt.Fprintf(w, "# HELP rtmd_session_decision_latency_overflow_total Per-session decisions beyond the histogram range (top-K sessions only).\n")
-	fmt.Fprintf(w, "# TYPE rtmd_session_decision_latency_overflow_total counter\n")
-	for _, id := range ids {
-		fmt.Fprintf(w, "rtmd_session_decision_latency_overflow_total{session=%q} %d\n", id, m.Sessions[id].Overflow)
-	}
-
-	writeLearningGauge(w, m, ids, "rtmd_session_epochs", "Decision epochs the session has served.",
-		func(lj *learningJSON) (string, bool) { return strconv.FormatInt(lj.Epochs, 10), true })
+	writeLearningGauge(w, m.Top, "rtmd_session_epochs", "Decision epochs the session has served.",
+		func(in *sessionInfo) (string, bool) { return strconv.FormatInt(in.Epochs, 10), true })
 	// Gauge, not counter: the count resets when a session is re-created
 	// under its id, which a counter contract would forbid.
-	writeLearningGauge(w, m, ids, "rtmd_session_explorations", "Exploratory (non-greedy) decisions taken.",
-		func(lj *learningJSON) (string, bool) { return strconv.Itoa(lj.Explorations), true })
-	writeLearningGauge(w, m, ids, "rtmd_session_converged_at_epoch", "Epoch initial learning completed; -1 while learning.",
-		func(lj *learningJSON) (string, bool) { return strconv.Itoa(lj.ConvergedAt), true })
-	writeLearningGauge(w, m, ids, "rtmd_session_epsilon", "Exploration probability (the ε schedule's position).",
-		func(lj *learningJSON) (string, bool) {
-			if lj.Epsilon == nil {
+	writeLearningGauge(w, m.Top, "rtmd_session_explorations", "Exploratory (non-greedy) decisions taken.",
+		func(in *sessionInfo) (string, bool) { return strconv.Itoa(in.Explorations), true })
+	writeLearningGauge(w, m.Top, "rtmd_session_converged_at_epoch", "Epoch initial learning completed; -1 while learning.",
+		func(in *sessionInfo) (string, bool) { return strconv.Itoa(in.ConvergedAt), true })
+	writeLearningGauge(w, m.Top, "rtmd_session_epsilon", "Exploration probability (the ε schedule's position).",
+		func(in *sessionInfo) (string, bool) {
+			if in.Epsilon == nil {
 				return "", false
 			}
-			return promFloat(*lj.Epsilon), true
+			return promFloat(*in.Epsilon), true
 		})
 	// "visits", not "visit_total": like the explorations gauge above, the
 	// value resets on session re-creation, so a counter-implying _total
 	// suffix would mislead rate()-style queries.
-	writeLearningGauge(w, m, ids, "rtmd_session_visits", "State-action visits across the learner's value tables.",
-		func(lj *learningJSON) (string, bool) {
-			if lj.VisitTotal == nil {
+	writeLearningGauge(w, m.Top, "rtmd_session_visits", "State-action visits across the learner's value tables.",
+		func(in *sessionInfo) (string, bool) {
+			if in.VisitTotal == nil {
 				return "", false
 			}
-			return strconv.Itoa(*lj.VisitTotal), true
+			return strconv.Itoa(*in.VisitTotal), true
 		})
-	writeLearningGauge(w, m, ids, "rtmd_session_converged_fraction", "Fraction of states whose greedy action has settled.",
-		func(lj *learningJSON) (string, bool) {
-			if lj.ConvergedFraction == nil {
+	writeLearningGauge(w, m.Top, "rtmd_session_converged_fraction", "Fraction of states whose greedy action has settled.",
+		func(in *sessionInfo) (string, bool) {
+			if in.ConvergedFraction == nil {
 				return "", false
 			}
-			return promFloat(*lj.ConvergedFraction), true
+			return promFloat(*in.ConvergedFraction), true
 		})
-}
-
-// topSessionIDs picks the K most-decided sessions (latency sample count
-// descending, id ascending on ties) — the bounded per-session slice an
-// operator opted into with ?top=K.
-func topSessionIDs(m metricsJSON, k int) []string {
-	ids := make([]string, 0, len(m.Sessions))
-	for id := range m.Sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		ci, cj := m.Sessions[ids[i]].Count, m.Sessions[ids[j]].Count
-		if ci != cj {
-			return ci > cj
-		}
-		return ids[i] < ids[j]
-	})
-	if len(ids) > k {
-		ids = ids[:k]
-	}
-	// Render in id order so the output is deterministic and diffable.
-	sort.Strings(ids)
-	return ids
 }
 
 // writeLatencyHistogram renders one latencyJSON as a Prometheus
@@ -249,18 +214,13 @@ func writeLatencyHistogram(w io.Writer, name, label, value string, lj latencyJSO
 	fmt.Fprintf(w, "%s %d\n", series("_count", ""), lj.Count)
 }
 
-// writeLearningGauge renders one per-session learning gauge family,
-// covering only the given (top-K) sessions whose governor learns (and,
-// per field, only learners that expose it).
-func writeLearningGauge(w io.Writer, m metricsJSON, ids []string, name, help string,
-	value func(*learningJSON) (string, bool)) {
+// writeLearningGauge renders one per-session learning gauge family over
+// the top-K entries (only the learners that expose the field).
+func writeLearningGauge(w io.Writer, top []sessionInfo, name, help string,
+	value func(*sessionInfo) (string, bool)) {
 	wrote := false
-	for _, id := range ids {
-		lj := m.Sessions[id].Learning
-		if lj == nil {
-			continue
-		}
-		v, ok := value(lj)
+	for i := range top {
+		v, ok := value(&top[i])
 		if !ok {
 			continue
 		}
@@ -269,6 +229,6 @@ func writeLearningGauge(w io.Writer, m metricsJSON, ids []string, name, help str
 			fmt.Fprintf(w, "# TYPE %s gauge\n", name)
 			wrote = true
 		}
-		fmt.Fprintf(w, "%s{session=%q} %s\n", name, id, v)
+		fmt.Fprintf(w, "%s{session=%q} %s\n", name, top[i].ID, v)
 	}
 }

@@ -62,8 +62,8 @@ func mustContain(t *testing.T, body string, wants ...string) {
 // ?format=prometheus or Accept: text/plain. The default scrape is O(1)
 // in session count: one server-wide latency histogram with cumulative
 // le buckets summing to the decision count, and no per-session series
-// at all. Per-session detail (histogram, learning gauges) appears only
-// under ?top=K. The default content type stays JSON.
+// at all. Per-session learning gauges appear only under ?top=K. The
+// default content type stays JSON.
 func TestMetricsPrometheusExposition(t *testing.T) {
 	const decisions = 5
 	h := newTestServer(t, serve.Options{})
@@ -152,15 +152,14 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		)
 	}
 
-	// ?top=K opts back into per-session detail, under the separate
-	// rtmd_session_* families.
+	// ?top=K opts back into per-session learning gauges, under the
+	// separate rtmd_session_* families. Sessions keep no latency
+	// histogram of their own, so no per-session latency family exists.
 	body := promBody(t, h.ts.Client(), h.ts.URL, false, "top=4")
+	if strings.Contains(body, "rtmd_session_decision_latency") {
+		t.Errorf("top=K exposition carries a per-session latency family:\n%s", body)
+	}
 	mustContain(t, body,
-		"# TYPE rtmd_session_decision_latency_seconds histogram",
-		fmt.Sprintf(`rtmd_session_decision_latency_seconds_bucket{session="p0",le="+Inf"} %d`, decisions),
-		`rtmd_session_decision_latency_seconds_sum{session="p0"} `,
-		fmt.Sprintf(`rtmd_session_decision_latency_seconds_count{session="p0"} %d`, decisions),
-		`rtmd_session_decision_latency_overflow_total{session="p0"} 0`,
 		`rtmd_session_explorations{session="p0"}`,
 		fmt.Sprintf(`rtmd_session_epochs{session="p0"} %d`, decisions),
 		`rtmd_session_epsilon{session="p0"}`,
@@ -187,8 +186,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 
 // The router serves the same exposition over its fleet-merged metrics:
 // the replicas' aggregate latency histograms merge into one, per-session
-// detail stays behind ?top=K, and the router's own relay-hop histograms
-// ride alongside.
+// learning gauges stay behind ?top=K, and the router's own relay-hop
+// histograms ride alongside.
 func TestRouterPrometheusMetrics(t *testing.T) {
 	_, addrs := newFleet(t, 2, serve.Options{})
 	rt, err := serve.NewRouter(addrs, serve.RouterOptions{})
@@ -240,10 +239,10 @@ func TestRouterPrometheusMetrics(t *testing.T) {
 		t.Errorf("default router exposition carries per-session series:\n%s", body)
 	}
 
-	// Opting in with ?top=K surfaces the fleet's per-session detail.
+	// Opting in with ?top=K surfaces the fleet's per-session gauges.
 	topBody := promBody(t, rtHTTP.Client(), rtHTTP.URL, false, "top=8")
 	for _, id := range ids {
-		mustContain(t, topBody, fmt.Sprintf(`rtmd_session_decision_latency_seconds_count{session=%q} 1`, id))
+		mustContain(t, topBody, fmt.Sprintf(`rtmd_session_epochs{session=%q} 1`, id))
 	}
 
 	// Each routed decide above was one relayed hop; the per-replica hop

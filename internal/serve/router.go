@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"cmp"
 	crand "crypto/rand"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,8 +36,10 @@ import (
 // flat server relies on, preserved per replica). Per-batch grouping
 // state is pooled.
 // Control operations (create, checkpoint, delete, info) follow the
-// same ring; metrics and list aggregate across the fleet, including a
-// per-replica relay hop histogram and in-flight gauge.
+// same ring; metrics and list aggregate across the fleet — fixed-size
+// documents and bounded pages merge into documents and pages of the same
+// bounds — and metrics adds a per-replica relay hop histogram and
+// in-flight gauge.
 //
 // The router serves the same two fronts as a replica — Handler (the
 // HTTP API, built by the same code as the flat server's) and
@@ -631,17 +636,24 @@ func (rt *Router) hopSnapshot() map[string]latencyJSON {
 // owning replica; fleet-scoped ops aggregate across every replica.
 func (rt *Router) control(op byte, session string, body []byte) (uint16, []byte) {
 	switch op {
-	case wire.OpMetrics:
+	case wire.OpMetrics, wire.OpList:
+		var q controlQuery
+		if len(body) > 0 {
+			if err := json.Unmarshal(body, &q); err != nil {
+				return http.StatusBadRequest, errorBody(err)
+			}
+		}
+		if op == wire.OpList {
+			return rt.aggregateList(q)
+		}
 		// A partial answer is still 200 (scrapers keep their time series
 		// through a replica outage) with the gap named in
 		// degraded_replicas.
-		merged, err := rt.metrics()
+		merged, err := rt.metrics(q.Top)
 		if err != nil {
 			return http.StatusBadGateway, errorBody(err)
 		}
 		return http.StatusOK, jsonBody(merged)
-	case wire.OpList:
-		return rt.aggregateList()
 	case wire.OpHealth:
 		return rt.aggregateHealth()
 	case wire.OpTrace:
@@ -699,78 +711,80 @@ func (rt *Router) forward(op byte, session string, body []byte) (uint16, []byte)
 	return uint16(status), resp
 }
 
-// eachReplica runs f per replica in parallel, collecting per-replica
-// results in member order. A failing replica fails only its own slot —
-// each caller decides whether a partial fleet answer degrades (name the
-// gap, aggregate the rest) or fails outright (zero replicas answered).
-func (rt *Router) eachReplica(f func(addr string, cl *client.Client) ([]byte, error)) (bodies [][]byte, members []string, errs []error) {
+// fleetCall runs one fleet-scoped control op on every replica in
+// parallel and decodes each reply into a T, in member order. A transport
+// error, a non-200 status or an undecodable body fails only that
+// replica's slot — each caller decides whether a partial fleet answer
+// degrades (name the gap, aggregate the rest) or fails outright.
+func fleetCall[T any](rt *Router, op byte, body []byte) (members []string, out []T, errs []error) {
 	members = rt.ring.Members()
-	bodies = make([][]byte, len(members))
+	out = make([]T, len(members))
 	errs = make([]error, len(members))
 	var wg sync.WaitGroup
 	for i, addr := range members {
 		wg.Add(1)
 		go func(i int, cl *client.Client) {
 			defer wg.Done()
-			bodies[i], errs[i] = f(members[i], cl)
+			status, resp, err := cl.Control(op, "", body)
+			if err == nil && status != http.StatusOK {
+				err = fmt.Errorf("control op 0x%02x returned %d", op, status)
+			} else if err == nil {
+				err = json.Unmarshal(resp, &out[i])
+			}
+			if err != nil {
+				errs[i] = fmt.Errorf("replica %s: %w", members[i], err)
+			}
 		}(i, rt.client(addr))
 	}
 	wg.Wait()
-	return bodies, members, errs
+	return members, out, errs
+}
+
+// failures names the replicas a fleetCall could not use, and returns an
+// error (the first failure) only when none answered at all.
+func failures(members []string, errs []error) (failed []string, none error) {
+	for i, err := range errs {
+		if err != nil {
+			failed = append(failed, members[i])
+			none = cmp.Or(none, err)
+		}
+	}
+	if len(failed) < len(members) {
+		return failed, nil
+	}
+	return failed, cmp.Or(none, errf("router has no replicas"))
 }
 
 // metrics implements connBackend: it merges the reachable replicas'
-// /v1/metrics documents:
-// session entries union (ids are globally unique — the ring sends each
-// to one replica), decision counters sum, and unreachable members are
-// named in DegradedReplicas rather than failing the whole aggregate.
-// The error is non-nil only when zero replicas answered.
-func (rt *Router) metrics() (metricsJSON, error) {
-	bodies, members, errs := rt.eachReplica(func(addr string, cl *client.Client) ([]byte, error) {
-		status, body, err := cl.Metrics()
-		if err != nil {
-			return nil, err
-		}
-		if status != http.StatusOK {
-			return nil, fmt.Errorf("metrics returned %d", status)
-		}
-		return body, nil
-	})
-	merged := metricsJSON{Sessions: make(map[string]sessionMetricsJSON)}
-	var firstErr error
-	answered := 0
-	for i := range members {
-		err := errs[i]
-		if err == nil {
-			var m metricsJSON
-			if derr := json.Unmarshal(bodies[i], &m); derr != nil {
-				err = fmt.Errorf("decoding replica metrics: %w", derr)
-			} else {
-				answered++
-				merged.Decisions += m.Decisions
-				merged.CheckpointWrites += m.CheckpointWrites
-				merged.CheckpointSkipped += m.CheckpointSkipped
-				merged.QTablePoolPages += m.QTablePoolPages
-				merged.QTablePoolSharedBytes += m.QTablePoolSharedBytes
-				merged.QTableCowFaults += m.QTableCowFaults
-				merged.DecideLatency = mergeLatencyJSON(merged.DecideLatency, m.DecideLatency)
-				for id, sm := range m.Sessions {
-					merged.Sessions[id] = sm
-				}
-				continue
-			}
-		}
-		merged.DegradedReplicas = append(merged.DegradedReplicas, members[i])
-		if firstErr == nil {
-			firstErr = fmt.Errorf("replica %s: %w", members[i], err)
-		}
+// /v1/metrics documents: counters and session counts sum, latency bins
+// add, each replica's top entries merge down to the fleet's top (ids are
+// globally unique — the ring sends each to one replica), and unreachable
+// members are named in DegradedReplicas rather than failing the whole
+// aggregate. The error is non-nil only when zero replicas answered.
+func (rt *Router) metrics(top int) (metricsJSON, error) {
+	top = min(top, maxTopSessions)
+	members, ms, errs := fleetCall[metricsJSON](rt, wire.OpMetrics, jsonBody(controlQuery{Top: top}))
+	failed, err := failures(members, errs)
+	if err != nil {
+		return metricsJSON{}, err
 	}
-	if answered == 0 {
-		if firstErr == nil {
-			firstErr = errf("router has no replicas")
+	merged := metricsJSON{DegradedReplicas: failed}
+	for i, m := range ms {
+		if errs[i] != nil {
+			continue
 		}
-		return metricsJSON{}, firstErr
+		merged.Decisions += m.Decisions
+		merged.Sessions += m.Sessions
+		merged.Top = append(merged.Top, m.Top...)
+		merged.CheckpointWrites += m.CheckpointWrites
+		merged.CheckpointSkipped += m.CheckpointSkipped
+		merged.QTablePoolPages += m.QTablePoolPages
+		merged.QTablePoolSharedBytes += m.QTablePoolSharedBytes
+		merged.QTableCowFaults += m.QTableCowFaults
+		merged.DecideLatency = mergeLatencyJSON(merged.DecideLatency, m.DecideLatency)
 	}
+	sortBusiest(merged.Top)
+	merged.Top = merged.Top[:min(len(merged.Top), top)]
 	merged.RouteHops = rt.hopSnapshot()
 	inflight := rt.inflight.Load()
 	merged.RouteInflight = &inflight
@@ -779,51 +793,37 @@ func (rt *Router) metrics() (metricsJSON, error) {
 	return merged, nil
 }
 
-// aggregateList concatenates the reachable replicas' session lists,
-// sorted by id. A partial answer is 206 — callers that must see every
-// session (a migration script) treat that as failure; observability
-// callers keep the majority view. Zero answers is 502.
-func (rt *Router) aggregateList() (uint16, []byte) {
-	bodies, members, errs := rt.eachReplica(func(addr string, cl *client.Client) ([]byte, error) {
-		status, body, err := cl.ListSessions()
-		if err != nil {
-			return nil, err
-		}
-		if status != http.StatusOK {
-			return nil, fmt.Errorf("list returned %d", status)
-		}
-		return body, nil
-	})
-	var all []sessionInfo
-	var firstErr error
-	answered := 0
-	for i := range members {
-		err := errs[i]
-		if err == nil {
-			var infos []sessionInfo
-			if derr := json.Unmarshal(bodies[i], &infos); derr != nil {
-				err = fmt.Errorf("decoding replica list: %w", derr)
-			} else {
-				answered++
-				all = append(all, infos...)
-				continue
-			}
-		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("replica %s: %w", members[i], err)
-		}
+// aggregateList answers one page of the fleet's session list. Every
+// replica serves its own first page after the cursor; the fleet's page
+// is the first limit ids of their union (each replica's share of it is a
+// prefix of that replica's page), so the merge is exact. A partial
+// answer is 206 — callers that must see every session (a migration
+// script) treat that as failure; observability callers keep the
+// majority view. Zero answers is 502.
+func (rt *Router) aggregateList(q controlQuery) (uint16, []byte) {
+	n := q.limit()
+	members, pages, errs := fleetCall[sessionPage](rt, wire.OpList, jsonBody(controlQuery{After: q.After, Limit: n}))
+	failed, err := failures(members, errs)
+	if err != nil {
+		return http.StatusBadGateway, errorBody(err)
 	}
-	if answered == 0 {
-		if firstErr == nil {
-			firstErr = errf("router has no replicas")
-		}
-		return http.StatusBadGateway, errorBody(firstErr)
+	page := sessionPage{Sessions: []sessionInfo{}}
+	more := false
+	for _, p := range pages {
+		page.Sessions = append(page.Sessions, p.Sessions...)
+		more = more || p.Next != ""
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	if answered < len(members) {
-		return http.StatusPartialContent, jsonBody(all)
+	slices.SortFunc(page.Sessions, func(a, b sessionInfo) int { return strings.Compare(a.ID, b.ID) })
+	if len(page.Sessions) > n {
+		page.Sessions, more = page.Sessions[:n], true
 	}
-	return http.StatusOK, jsonBody(all)
+	if more {
+		page.Next = page.Sessions[len(page.Sessions)-1].ID
+	}
+	if len(failed) > 0 {
+		return http.StatusPartialContent, jsonBody(page)
+	}
+	return http.StatusOK, jsonBody(page)
 }
 
 // NewRouterTCP wraps a Router with a binary-transport listener — the
@@ -849,39 +849,21 @@ type memberHealthJSON struct {
 // aggregated over the reachable majority. Only zero reachable replicas
 // is non-200 (503 "down").
 func (rt *Router) aggregateHealth() (uint16, []byte) {
-	bodies, members, errs := rt.eachReplica(func(addr string, cl *client.Client) ([]byte, error) {
-		status, body, err := cl.Health()
-		if err != nil {
-			return nil, err
-		}
-		if status != http.StatusOK {
-			return nil, fmt.Errorf("health returned %d", status)
-		}
-		return body, nil
-	})
+	members, hs, errs := fleetCall[healthJSON](rt, wire.OpHealth, nil)
 	var sessions int
 	var decisions int64
-	var degraded []string
 	detail := make(map[string]memberHealthJSON, len(members))
-	up := 0
-	for i := range members {
-		err := errs[i]
-		if err == nil {
-			var h healthJSON
-			if derr := json.Unmarshal(bodies[i], &h); derr != nil {
-				err = fmt.Errorf("decoding health: %w", derr)
-			} else {
-				up++
-				sessions += h.Sessions
-				decisions += h.Decisions
-				detail[members[i]] = memberHealthJSON{Up: true, Sessions: h.Sessions, Decisions: h.Decisions}
-				continue
-			}
+	for i, h := range hs {
+		if errs[i] != nil {
+			detail[members[i]] = memberHealthJSON{Up: false, Error: errs[i].Error()}
+			continue
 		}
-		degraded = append(degraded, members[i])
-		detail[members[i]] = memberHealthJSON{Up: false, Error: err.Error()}
+		sessions += h.Sessions
+		decisions += h.Decisions
+		detail[members[i]] = memberHealthJSON{Up: true, Sessions: h.Sessions, Decisions: h.Decisions}
 	}
-	sort.Strings(degraded)
+	degraded, _ := failures(members, errs) // members are sorted
+	up := len(members) - len(degraded)
 	status, code := "ok", http.StatusOK
 	switch {
 	case up == 0:

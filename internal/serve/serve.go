@@ -9,12 +9,15 @@
 //	                                    calibrated and/or warm-started)
 //	POST   /v1/decide                   batched: one observation per
 //	                                    session, one OPP decision back
+//	GET    /v1/sessions                 one page of session infos,
+//	                                    by id (?after=&limit=)
 //	GET    /v1/sessions/{id}            session info + learning stats
 //	POST   /v1/sessions/{id}/checkpoint freeze the learnt state now
 //	DELETE /v1/sessions/{id}            drop the session and its
 //	                                    checkpoint
-//	GET    /v1/metrics                  fleet view (JSON, or
-//	                                    ?format=prometheus)
+//	GET    /v1/metrics                  fixed-size fleet view (JSON,
+//	                                    or ?format=prometheus; ?top=K
+//	                                    adds the K busiest learners)
 //	GET    /v1/trace                    sampled decide-path spans
 //	GET    /v1/members                  installed membership table
 //	GET    /healthz                     liveness + counters
@@ -86,11 +89,10 @@ const (
 	latHistBins = 70
 )
 
-// emptyLatHist is what metrics report for a session that has not decided
-// yet: its real histogram is built lazily on the first decide (a ~2 KB
-// allocation most short-lived sessions never need), so the all-zero shape
-// comes from this shared instance. Read-only — never Add to it.
-var emptyLatHist = stats.NewLogHistogram(latHistLoUS, latHistHiUS, latHistBins)
+// newLatHist builds one empty histogram in the decision-latency geometry.
+func newLatHist() *stats.Histogram {
+	return stats.NewLogHistogram(latHistLoUS, latHistHiUS, latHistBins)
+}
 
 // latStripes is the server-wide aggregate latency histogram's stripe
 // count. Every decide lands one sample in its session's assigned stripe
@@ -100,8 +102,8 @@ var emptyLatHist = stats.NewLogHistogram(latHistLoUS, latHistHiUS, latHistBins)
 const latStripes = 64
 
 // latStripe is one shard of the aggregate decision-latency histogram.
-// The histogram is built lazily like a session's: an idle server carries
-// 64 nil pointers, not 64 × 2 KB of zero bins.
+// The histogram is built lazily: an idle server carries 64 nil pointers,
+// not 64 histograms of zero bins.
 type latStripe struct {
 	mu sync.Mutex
 	h  *stats.Histogram
@@ -111,7 +113,7 @@ type latStripe struct {
 func (st *latStripe) add(us float64) {
 	st.mu.Lock()
 	if st.h == nil {
-		st.h = stats.NewLogHistogram(latHistLoUS, latHistHiUS, latHistBins)
+		st.h = newLatHist()
 	}
 	st.h.Add(us)
 	st.mu.Unlock()
@@ -254,13 +256,9 @@ type session struct {
 	// generation so a decide racing a checkpoint can never mark clean
 	// state that was not captured. Guarded by mu.
 	ckptEpochs int64
-	// lat is the decision latency histogram in µs, guarded by mu. It is
-	// built lazily on the first decide: a created-but-idle session (the
-	// bulk of a fleet at peak churn) should not carry ~600 B of empty
-	// bins. Metrics rendering treats nil as the empty histogram.
-	lat *stats.Histogram
 	// stripe is the server-wide aggregate histogram shard this session's
-	// decisions also land in — assigned at create, immutable after.
+	// decision latencies land in — assigned at create, immutable after.
+	// A session keeps no latency state of its own.
 	stripe *latStripe
 	// dead marks a deleted session whose pooled learning state has been
 	// released. Guarded by mu: an in-flight decide that still holds the
@@ -340,7 +338,7 @@ func (s *Server) DecideLatency() *stats.Histogram {
 		st.mu.Lock()
 		if st.h != nil {
 			if merged == nil {
-				merged = stats.NewLogHistogram(latHistLoUS, latHistHiUS, latHistBins)
+				merged = newLatHist()
 			}
 			if err := merged.Merge(st.h); err != nil {
 				st.mu.Unlock()
@@ -913,14 +911,15 @@ func (s *Server) deleteSession(id string) bool {
 }
 
 // decide serialises one decision on the session and records its latency
-// (µs under the session lock, the figure /v1/metrics reports). A
-// non-finite reading is refused before the lock: fed to a learner it
-// would poison the Q-table, and every later checkpoint of the session
-// would fail to encode. Governor panics (a malformed observation hitting
-// a harness-bug assertion) are contained per call so one bad request
-// cannot take the server down.
+// (µs under the session lock) in the server-wide aggregate /v1/metrics
+// reports. A non-finite or out-of-range reading is refused before the
+// lock: fed to a learner it would poison the Q-table (a NaN makes every
+// later checkpoint of the session fail to encode) or skew it silently.
+// Governor panics (a malformed observation hitting a harness-bug
+// assertion) are contained per call so one bad request cannot take the
+// server down.
 func (sess *session) decide(obs governor.Observation) (idx int, err error) {
-	if err := checkFinite(&obs); err != nil {
+	if err := checkObservation(&obs); err != nil {
 		return -1, err
 	}
 	sess.mu.Lock()
@@ -931,18 +930,13 @@ func (sess *session) decide(obs governor.Observation) (idx int, err error) {
 		// lookup had missed.
 		return -1, errUnknownSession(sess.id)
 	}
-	if sess.lat == nil {
-		sess.lat = stats.NewLogHistogram(latHistLoUS, latHistHiUS, latHistBins)
-	}
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("governor rejected the observation: %v", r)
 		}
-		us := float64(time.Since(start)) / float64(time.Microsecond)
-		sess.lat.Add(us)
 		if sess.stripe != nil {
-			sess.stripe.add(us)
+			sess.stripe.add(float64(time.Since(start)) / float64(time.Microsecond))
 		}
 	}()
 	idx = sess.gov.Decide(obs)
@@ -950,11 +944,15 @@ func (sess *session) decide(obs governor.Observation) (idx int, err error) {
 	return idx, nil
 }
 
-// checkFinite names the first NaN or ±Inf reading in obs. Every decide,
-// from either plane or relayed by a router, passes through
+// checkObservation names the first reading no real epoch produces: a
+// NaN or ±Inf, or in a measured epoch (Epoch -1 is the first call's
+// all-zero observation, which every governor ignores) a non-positive
+// period, a negative time or power, or a utilisation outside [0, 1].
+// Every decide, from either plane or relayed by a router, passes through
 // session.decide, so this is the one place that guards all of them.
-func checkFinite(obs *governor.Observation) error {
-	bad := ""
+func checkObservation(obs *governor.Observation) error {
+	bad, why := "", "is not finite"
+	measured := obs.Epoch >= 0
 	switch {
 	case !finite(obs.ExecTimeS):
 		bad = "exec_time_s"
@@ -966,6 +964,15 @@ func checkFinite(obs *governor.Observation) error {
 		bad = "power_w"
 	case !finite(obs.TempC):
 		bad = "temp_c"
+	case !measured:
+	case obs.PeriodS <= 0:
+		bad, why = "period_s", "must be positive"
+	case obs.ExecTimeS < 0:
+		bad, why = "exec_time_s", "is negative"
+	case obs.WallTimeS < 0:
+		bad, why = "wall_time_s", "is negative"
+	case obs.PowerW < 0:
+		bad, why = "power_w", "is negative"
 	}
 	if bad == "" {
 		for _, u := range obs.Util {
@@ -973,12 +980,16 @@ func checkFinite(obs *governor.Observation) error {
 				bad = "util"
 				break
 			}
+			if measured && (u < 0 || u > 1) {
+				bad, why = "util", "is outside [0, 1]"
+				break
+			}
 		}
 	}
 	if bad == "" {
 		return nil
 	}
-	return fmt.Errorf("observation %s is not finite", bad)
+	return fmt.Errorf("observation %s %s", bad, why)
 }
 
 // finite reports whether x is neither NaN nor ±Inf: x-x is 0 for every

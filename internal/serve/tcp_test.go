@@ -229,10 +229,63 @@ func newHTTPOnly(t *testing.T, srv *serve.Server) *testServer {
 // state byte-identical, and every later decide equals that of a twin
 // session that never saw the bad frames.
 func TestDecideRejectsNonFiniteObservation(t *testing.T) {
+	h := checkRefusedFrames(t, []refusedFrame{
+		{"exec_time_s is not finite", func(o *governor.Observation) { o.ExecTimeS, o.PowerW = math.NaN(), math.Inf(1) }},
+		{"period_s is not finite", func(o *governor.Observation) { o.PeriodS = math.Inf(-1) }},
+		{"wall_time_s is not finite", func(o *governor.Observation) { o.WallTimeS = math.NaN() }},
+		{"temp_c is not finite", func(o *governor.Observation) { o.TempC = math.Inf(1) }},
+		{"util is not finite", func(o *governor.Observation) { o.Util[1] = math.NaN() }},
+	})
+
+	// JSON cannot carry NaN or Inf; an out-of-range literal is the
+	// nearest it gets, and the decode must refuse it.
+	resp, err := h.ts.Client().Post(h.ts.URL+"/v1/decide", "application/json", strings.NewReader(
+		`{"requests":[{"session":"bad","obs":{"epoch":1,"exec_time_s":1e400,"period_s":0.04,"wall_time_s":0.04,"power_w":2,"temp_c":50}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("JSON decide with 1e400 returned %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+}
+
+// A finite reading no real epoch produces must be refused the same way:
+// a non-positive period (which otherwise surfaced only as a recovered
+// governor panic), a negative execution time, wall time or power, and a
+// utilisation outside [0, 1] — all of which a learner would otherwise
+// fold into its tables silently.
+func TestDecideRejectsOutOfRangeObservation(t *testing.T) {
+	checkRefusedFrames(t, []refusedFrame{
+		{"period_s must be positive", func(o *governor.Observation) { o.PeriodS = 0 }},
+		{"period_s must be positive", func(o *governor.Observation) { o.PeriodS = -o.PeriodS }},
+		{"exec_time_s is negative", func(o *governor.Observation) { o.ExecTimeS = -0.001 }},
+		{"wall_time_s is negative", func(o *governor.Observation) { o.WallTimeS = -o.WallTimeS }},
+		{"power_w is negative", func(o *governor.Observation) { o.PowerW = -2 }},
+		{"util is outside [0, 1]", func(o *governor.Observation) { o.Util[2] = 5 }},
+		{"util is outside [0, 1]", func(o *governor.Observation) { o.Util[0] = -0.1 }},
+	})
+}
+
+// refusedFrame spoils one otherwise valid observation; the decide must
+// fail with an error containing want.
+type refusedFrame struct {
+	want  string
+	spoil func(o *governor.Observation)
+}
+
+// checkRefusedFrames drives two twin RTM sessions over binary TCP
+// through 60 epochs of h264-football on a15, sends each spoiled frame to
+// one of them, and requires an explicit per-entry error for each, a
+// frozen state byte-identical before and after, and decisions equal to
+// the twin's to the end of the trace. It returns the server for further
+// checks on the spoiled session ("bad").
+func checkRefusedFrames(t *testing.T, frames []refusedFrame) *testServer {
+	t.Helper()
 	const (
 		wl     = "h264-football"
 		seed   = 5
-		frames = 120
+		frameN = 120
 		warm   = 60
 	)
 	h := newTestServer(t, serve.Options{})
@@ -241,13 +294,13 @@ func TestDecideRejectsNonFiniteObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	t.Cleanup(func() { cl.Close() })
 
 	gen, err := workload.ByName(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := gen(seed, frames)
+	tr := gen(seed, frameN)
 	sims := map[string]*sim.Session{}
 	for _, id := range []string{"bad", "twin"} {
 		if st := h.post("/v1/sessions", map[string]any{
@@ -256,7 +309,7 @@ func TestDecideRejectsNonFiniteObservation(t *testing.T) {
 		}, nil); st != http.StatusCreated {
 			t.Fatalf("create %s returned %d", id, st)
 		}
-		sims[id] = sim.NewSession(scenarioConfig(t, "rtm/"+wl+"/a15", seed, frames))
+		sims[id] = sim.NewSession(scenarioConfig(t, "rtm/"+wl+"/a15", seed, frameN))
 	}
 	decide := func(id string) int {
 		t.Helper()
@@ -288,21 +341,16 @@ func TestDecideRejectsNonFiniteObservation(t *testing.T) {
 	}
 
 	before := freeze("bad")
-	for _, spoil := range []func(o *governor.Observation){
-		func(o *governor.Observation) { o.ExecTimeS, o.PowerW = math.NaN(), math.Inf(1) },
-		func(o *governor.Observation) { o.PeriodS = math.Inf(-1) },
-		func(o *governor.Observation) { o.WallTimeS = math.NaN() },
-		func(o *governor.Observation) { o.TempC = math.Inf(1) },
-		func(o *governor.Observation) { o.Util = append([]float64(nil), o.Util...); o.Util[1] = math.NaN() },
-	} {
+	for _, f := range frames {
 		obs := sims["bad"].Observe()
-		spoil(&obs)
+		obs.Util = append([]float64(nil), obs.Util...)
+		f.spoil(&obs)
 		d, err := cl.Decide("bad", obs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Err == "" || d.OPPIdx != -1 {
-			t.Fatalf("non-finite observation was decided: %+v", d)
+		if d.OPPIdx != -1 || !strings.Contains(d.Err, f.want) {
+			t.Fatalf("spoiled observation (%s) answered %+v", f.want, d)
 		}
 	}
 	if after := freeze("bad"); !bytes.Equal(before, after) {
@@ -318,16 +366,5 @@ func TestDecideRejectsNonFiniteObservation(t *testing.T) {
 	if !bytes.Equal(freeze("bad"), freeze("twin")) {
 		t.Fatal("learnt state differs from the twin's after the refused frame")
 	}
-
-	// JSON cannot carry NaN or Inf; an out-of-range literal is the
-	// nearest it gets, and the decode must refuse it.
-	resp, err := h.ts.Client().Post(h.ts.URL+"/v1/decide", "application/json", strings.NewReader(
-		`{"requests":[{"session":"bad","obs":{"epoch":1,"exec_time_s":1e400,"period_s":0.04,"wall_time_s":0.04,"power_w":2,"temp_c":50}}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("JSON decide with 1e400 returned %d, want %d", resp.StatusCode, http.StatusBadRequest)
-	}
+	return h
 }

@@ -6,8 +6,8 @@ import (
 	"sort"
 	"strconv"
 
-	"qgov/internal/serve/client"
 	"qgov/internal/trace"
+	"qgov/internal/wire"
 )
 
 // This file is the trace read side: the binary OpTrace, which GET
@@ -107,22 +107,9 @@ func (rt *Router) aggregateTrace(body []byte) (uint16, []byte) {
 		return http.StatusBadRequest, errorBody(err)
 	}
 	all := rt.tracer.Snapshot(f)
-	bodies, members, errs := rt.eachReplica(func(addr string, cl *client.Client) ([]byte, error) {
-		status, b, err := cl.TraceSpans(body)
-		if err != nil {
-			return nil, err
-		}
-		if status != http.StatusOK {
-			return nil, errf("trace returned %d", status)
-		}
-		return b, nil
-	})
-	for i := range members {
+	members, replies, errs := fleetCall[[]trace.Span](rt, wire.OpTrace, body)
+	for i, spans := range replies {
 		if errs[i] != nil {
-			continue
-		}
-		var spans []trace.Span
-		if err := json.Unmarshal(bodies[i], &spans); err != nil {
 			continue
 		}
 		for _, sp := range spans {

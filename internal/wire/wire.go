@@ -110,10 +110,13 @@ const (
 	// OpInfo returns the session's info JSON.
 	OpInfo byte = 0x04
 	// OpMetrics returns the server's metrics JSON (the /v1/metrics body);
-	// the session field is ignored.
+	// an optional JSON body {"top": K} adds the K busiest learning
+	// sessions. The session field is ignored.
 	OpMetrics byte = 0x05
-	// OpList returns the JSON array of all session infos; the session
-	// field is ignored.
+	// OpList returns one page of session infos sorted by id; an optional
+	// JSON body {"after": id, "limit": n} picks the page, and the reply
+	// carries a "next" cursor when more follow. The session field is
+	// ignored.
 	OpList byte = 0x06
 	// OpHealth returns the /healthz body (status + counters) — O(1) on
 	// the replica, so a router can aggregate fleet liveness without
