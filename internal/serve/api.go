@@ -317,36 +317,37 @@ func (s *Server) metrics(top int) (metricsJSON, error) {
 	}
 	rs := stats.ReadRuntime()
 	out.Runtime = &rs
-	if top = min(top, maxTopSessions); top > 0 {
+	if top > 0 {
 		out.Top = s.topLearners(top)
 	}
 	return out, nil
 }
 
 // topLearners returns the k learning sessions with the most epochs,
-// busiest first, from one walk of the store through a k-entry heap.
+// busiest first (ties by id), from one walk of the store that keeps the
+// k busiest in a capped sorted slice.
 func (s *Server) topLearners(k int) []sessionInfo {
 	type ranked struct {
 		sess   *session
 		epochs int64
 	}
-	best := bounded[ranked]{n: k, ahead: func(a, b ranked) bool {
-		return a.epochs > b.epochs || a.epochs == b.epochs && a.sess.id < b.sess.id
-	}}
+	busier := func(a, b ranked) int {
+		return cmp.Or(cmp.Compare(b.epochs, a.epochs), strings.Compare(a.sess.id, b.sess.id))
+	}
+	best := make([]ranked, 0, k+1)
 	s.sessions.Range(func(_ string, sess *session) bool {
 		if _, ok := sess.learner.(governor.LearningStats); ok {
 			sess.mu.Lock()
 			r := ranked{sess, sess.epochs}
 			sess.mu.Unlock()
-			best.offer(r)
+			best = insertCapped(best, k, r, busier)
 		}
 		return true
 	})
-	infos := make([]sessionInfo, len(best.h))
-	for i, r := range best.h {
+	infos := make([]sessionInfo, len(best))
+	for i, r := range best {
 		infos[i] = s.info(r.sess)
 	}
-	sortBusiest(infos)
 	return infos
 }
 
@@ -358,39 +359,16 @@ func sortBusiest(infos []sessionInfo) {
 	})
 }
 
-// bounded keeps the n best values offered under ahead (a ranks before
-// b) in a heap rooted at the worst value kept: one walk over any number
-// of candidates in O(n) space and O(log n) per offer. h is unordered.
-type bounded[T any] struct {
-	n     int
-	ahead func(a, b T) bool
-	h     []T
-}
-
-func (b *bounded[T]) offer(v T) {
-	i := len(b.h)
-	if i < b.n { // room left: append and sift up past better parents
-		b.h = append(b.h, v)
-		for ; i > 0 && b.ahead(b.h[(i-1)/2], b.h[i]); i = (i - 1) / 2 {
-			b.h[(i-1)/2], b.h[i] = b.h[i], b.h[(i-1)/2]
-		}
-		return
+// insertCapped inserts v into s, which is sorted under cmp and holds at
+// most n values, dropping whatever falls past n: one walk over any
+// number of candidates keeps the n first, in order, in O(n) space. Give
+// s a capacity of n+1 and it never reallocates.
+func insertCapped[T any](s []T, n int, v T, cmp func(a, b T) int) []T {
+	if len(s) == n && (n == 0 || cmp(v, s[n-1]) >= 0) {
+		return s
 	}
-	if i == 0 || !b.ahead(v, b.h[0]) {
-		return
-	}
-	b.h[0] = v // evict the worst, then sift down past worse children
-	for i = 0; 2*i+1 < len(b.h); {
-		w := 2*i + 1
-		if w+1 < len(b.h) && b.ahead(b.h[w], b.h[w+1]) {
-			w++
-		}
-		if !b.ahead(b.h[i], b.h[w]) {
-			break
-		}
-		b.h[i], b.h[w] = b.h[w], b.h[i]
-		i = w
-	}
+	i, _ := slices.BinarySearchFunc(s, v, cmp)
+	return slices.Insert(s, i, v)[:min(len(s)+1, n)]
 }
 
 // mergeLatencyJSON folds one rendered latency histogram into an
@@ -471,12 +449,30 @@ type controlQuery struct {
 	Limit int    `json:"limit,omitempty"`
 }
 
-// limit is the page size the query resolves to.
-func (q controlQuery) limit() int {
+// normalized clamps a query to what both tiers serve: Top into
+// [0, maxTopSessions], Limit into [1, maxListLimit] (defaultListLimit
+// when unset or not positive). Queries are normalised where they arrive
+// (urlQuery, parseControlQuery), so no handler sees a negative K or an
+// unbounded page.
+func (q controlQuery) normalized() controlQuery {
+	q.Top = max(0, min(q.Top, maxTopSessions))
 	if q.Limit <= 0 {
-		return defaultListLimit
+		q.Limit = defaultListLimit
 	}
-	return min(q.Limit, maxListLimit)
+	q.Limit = min(q.Limit, maxListLimit)
+	return q
+}
+
+// parseControlQuery decodes and normalises the body of an OpMetrics or
+// OpList frame, on either tier.
+func parseControlQuery(body []byte) (controlQuery, error) {
+	var q controlQuery
+	if len(body) > 0 {
+		if err := json.Unmarshal(body, &q); err != nil {
+			return controlQuery{}, err
+		}
+	}
+	return q.normalized(), nil
 }
 
 // sessionPage is one page of the session list, sorted by id. Next is the
@@ -487,20 +483,20 @@ type sessionPage struct {
 }
 
 // listPage answers one page of the session list: one walk of the store
-// keeps the limit+1 smallest ids after the cursor in a bounded heap (the
-// extra one only says whether a next page exists).
+// keeps the limit+1 smallest ids after the cursor, in order (the extra
+// one only says whether a next page exists).
 func (s *Server) listPage(q controlQuery) sessionPage {
-	n := q.limit()
-	best := bounded[*session]{n: n + 1, ahead: func(a, b *session) bool { return a.id < b.id }}
+	n := q.Limit
+	byID := func(a, b *session) int { return strings.Compare(a.id, b.id) }
+	best := make([]*session, 0, n+2)
 	s.sessions.Range(func(id string, sess *session) bool {
 		if id > q.After {
-			best.offer(sess)
+			best = insertCapped(best, n+1, sess, byID)
 		}
 		return true
 	})
-	slices.SortFunc(best.h, func(a, b *session) int { return strings.Compare(a.id, b.id) })
 	page := sessionPage{Sessions: make([]sessionInfo, 0, n)}
-	for i, sess := range best.h {
+	for i, sess := range best {
 		if i == n {
 			page.Next = page.Sessions[n-1].ID
 			break

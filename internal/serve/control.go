@@ -57,11 +57,9 @@ func (s *Server) control(op byte, session string, body []byte) (status uint16, r
 		return http.StatusOK, jsonBody(s.info(sess))
 
 	case wire.OpMetrics, wire.OpList:
-		var q controlQuery
-		if len(body) > 0 {
-			if err := json.Unmarshal(body, &q); err != nil {
-				return http.StatusBadRequest, errorBody(err)
-			}
+		q, err := parseControlQuery(body)
+		if err != nil {
+			return http.StatusBadRequest, errorBody(err)
 		}
 		if op == wire.OpList {
 			return http.StatusOK, jsonBody(s.listPage(q))

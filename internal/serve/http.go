@@ -134,12 +134,13 @@ func serveDecide(b connBackend, w http.ResponseWriter, r *http.Request) {
 // urlQuery reads the metrics and list knobs off the URL: ?top=K (how
 // many of the busiest learning sessions the metrics document lists; the
 // default 0 keeps it fixed-size) and ?after=&limit= (a page of the
-// session list). A missing or malformed number reads as 0, the default.
+// session list). A missing or malformed number reads as 0, the default;
+// the query comes back normalised, as parseControlQuery's does.
 func urlQuery(r *http.Request) controlQuery {
 	v := r.URL.Query()
 	top, _ := strconv.Atoi(v.Get("top"))
 	limit, _ := strconv.Atoi(v.Get("limit"))
-	return controlQuery{Top: top, After: v.Get("after"), Limit: limit}
+	return controlQuery{Top: top, After: v.Get("after"), Limit: limit}.normalized()
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

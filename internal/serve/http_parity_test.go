@@ -118,6 +118,8 @@ func TestHTTPParityFlatVsRouter(t *testing.T) {
 		{want: 200, method: "GET", path: "/healthz", project: health},
 		{want: 200, method: "GET", path: "/v1/metrics", project: metricsJSON},
 		{want: 200, method: "GET", path: "/v1/metrics?top=3", project: metricsJSON},
+		{want: 200, method: "GET", path: "/v1/metrics?top=-1", project: metricsJSON},
+		{want: 200, method: "GET", path: "/v1/metrics?top=-1&format=prometheus", project: prometheus},
 		{want: 200, method: "GET", path: "/v1/sessions"},
 		{want: 200, method: "GET", path: "/v1/sessions?after=p0&limit=1"},
 		{want: 200, method: "GET", path: "/v1/sessions?after=p1"},

@@ -637,11 +637,9 @@ func (rt *Router) hopSnapshot() map[string]latencyJSON {
 func (rt *Router) control(op byte, session string, body []byte) (uint16, []byte) {
 	switch op {
 	case wire.OpMetrics, wire.OpList:
-		var q controlQuery
-		if len(body) > 0 {
-			if err := json.Unmarshal(body, &q); err != nil {
-				return http.StatusBadRequest, errorBody(err)
-			}
+		q, err := parseControlQuery(body)
+		if err != nil {
+			return http.StatusBadRequest, errorBody(err)
 		}
 		if op == wire.OpList {
 			return rt.aggregateList(q)
@@ -762,7 +760,6 @@ func failures(members []string, errs []error) (failed []string, none error) {
 // members are named in DegradedReplicas rather than failing the whole
 // aggregate. The error is non-nil only when zero replicas answered.
 func (rt *Router) metrics(top int) (metricsJSON, error) {
-	top = min(top, maxTopSessions)
 	members, ms, errs := fleetCall[metricsJSON](rt, wire.OpMetrics, jsonBody(controlQuery{Top: top}))
 	failed, err := failures(members, errs)
 	if err != nil {
@@ -801,7 +798,7 @@ func (rt *Router) metrics(top int) (metricsJSON, error) {
 // script) treat that as failure; observability callers keep the
 // majority view. Zero answers is 502.
 func (rt *Router) aggregateList(q controlQuery) (uint16, []byte) {
-	n := q.limit()
+	n := q.Limit
 	members, pages, errs := fleetCall[sessionPage](rt, wire.OpList, jsonBody(controlQuery{After: q.After, Limit: n}))
 	failed, err := failures(members, errs)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"qgov/internal/promlint"
 	"qgov/internal/serve"
 	"qgov/internal/serve/client"
+	"qgov/internal/wire"
 )
 
 // lintExposition runs the repo's own Prometheus linter over a live
@@ -368,6 +369,32 @@ func TestRoutedTopKAcrossReplicas(t *testing.T) {
 	}
 	for _, w := range want {
 		mustContain(t, body, fmt.Sprintf(`rtmd_session_epochs{session=%q} %d`, w.id, w.epochs))
+	}
+
+	// A negative K reads as 0 on both tiers and over the binary plane
+	// too: a fixed-size document with no entries, never a failed slice.
+	flat, err := client.Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flat.Close()
+	for tier, c := range map[string]*client.Client{"router": cl, "replica": flat} {
+		st, resp, err := c.Control(wire.OpMetrics, "", []byte(`{"top":-1}`))
+		if err != nil || st != http.StatusOK {
+			t.Fatalf("%s: OpMetrics {\"top\":-1}: status %d err %v (%s)", tier, st, err, resp)
+		}
+		var neg struct {
+			Top []json.RawMessage `json:"top"`
+		}
+		if err := json.Unmarshal(resp, &neg); err != nil || neg.Top != nil {
+			t.Errorf("%s: OpMetrics {\"top\":-1} listed %d entries (err %v)", tier, len(neg.Top), err)
+		}
+	}
+	var neg struct {
+		Top []json.RawMessage `json:"top"`
+	}
+	if st := getJSON(t, rtHTTP.URL+"/v1/metrics?top=-1", &neg); st != http.StatusOK || neg.Top != nil {
+		t.Errorf("router metrics?top=-1 returned %d with %d entries", st, len(neg.Top))
 	}
 }
 

@@ -67,8 +67,9 @@ type connBackend interface {
 	decideBatch(batch []*observeReq)
 	control(op byte, session string, body []byte) (status uint16, resp []byte)
 	// metrics is the document OpMetrics serves, unencoded, so the
-	// Prometheus scrape renders it without a JSON round trip. top > 0
-	// adds the top busiest learning sessions.
+	// Prometheus scrape renders it without a JSON round trip. top, as
+	// normalised into [0, maxTopSessions], adds that many of the busiest
+	// learning sessions.
 	metrics(top int) (metricsJSON, error)
 	// memberEpoch is the fleet membership epoch stamped into every decide
 	// reply (0 outside any fleet).
