@@ -13,7 +13,6 @@
 //	rtmd -addr :8090 -checkpoint-dir /var/lib/rtmd -checkpoint-every 30s
 //	rtmd -addr :8090 -registry-dir /srv/rtmd-registry
 //	rtmd -route -replicas host1:8091,host2:8091 -addr :8080 -listen-tcp :8081
-//	rtmd -fleet router:8081 -fleet-sessions 256 -fleet-for 10s
 //
 //	curl -s localhost:8090/v1/sessions -d '{"id":"cluster0","governor":"rtm","seed":1}'
 //	curl -s localhost:8090/v1/decide -d '{"requests":[{"session":"cluster0","obs":{"epoch":-1}}]}'
@@ -40,15 +39,8 @@
 // move between replicas by a restart reshard (below). Clients talk to a
 // router exactly as they would to a flat rtmd.
 //
-// -fleet turns rtmd into a ring-aware direct bench client instead of a
-// server: it fetches the membership table from the given router's
-// binary listener, opens one multiplexed connection per replica,
-// creates -fleet-sessions sessions (through the router, the placement
-// authority), drives decide batches straight to the ring owners for
-// -fleet-for (-fleet-conns stripes each replica's traffic over N
-// connections), reports decisions/s, deletes its sessions, and exits.
-// This is the load-generation twin of BenchmarkDirectDecideThroughput
-// for benching a real fleet over the network.
+// rtmd is only a server: load is driven and measured by the benchmark
+// (bench/), which runs rtmd as its own process.
 //
 // Learning state is checkpointed periodically and on graceful shutdown
 // (SIGINT/SIGTERM) — both listeners drain before the final freeze — and
@@ -105,16 +97,12 @@ import (
 	"os/signal"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"qgov/internal/governor"
-	"qgov/internal/loadgen"
 	"qgov/internal/registry"
 	"qgov/internal/ring"
 	"qgov/internal/serve"
-	"qgov/internal/serve/client"
 	"qgov/internal/sessionstore"
 	"qgov/internal/stats"
 	"qgov/internal/trace"
@@ -146,21 +134,6 @@ func main() {
 		traceSample = flag.Float64("trace-sample", 0, "probability a decide batch is head-sampled into the trace ring (0: off)")
 		traceSlow   = flag.Duration("trace-slow", 0, "tail-capture decide batches slower than this (0: off)")
 		traceBuf    = flag.Int("trace-buf", 0, "trace ring capacity in spans (0: default)")
-
-		fleetAddr     = flag.String("fleet", "", "run as a ring-aware direct bench client against this router binary-transport address, then exit")
-		fleetSessions = flag.Int("fleet-sessions", 256, "sessions the -fleet bench client creates and drives")
-		fleetFor      = flag.Duration("fleet-for", 5*time.Second, "how long the -fleet bench client drives decides")
-		fleetConns    = flag.Int("fleet-conns", 1, "connections the -fleet bench client opens per replica")
-
-		lgSpec   = flag.String("loadgen", "", "run as a workload-generating client from this spec file (JSON, see internal/loadgen), then exit")
-		lgReplay = flag.String("loadgen-replay", "", "replay this recorded trace instead of generating from a spec")
-		lgAddr   = flag.String("loadgen-addr", "", "binary-transport address to drive (a flat rtmd or a router; empty: run against the in-process oracle)")
-		lgDirect = flag.Bool("loadgen-direct", false, "drive the fleet directly (ring-aware client.Fleet; -loadgen-addr must then be a router)")
-		lgRecord = flag.String("loadgen-record", "", "record the executed schedule to this trace file (with -loadgen and no -loadgen-addr, record without executing)")
-		lgLanes  = flag.Int("loadgen-lanes", 0, "concurrent executor lanes (0: min(GOMAXPROCS, 8))")
-		lgBatch  = flag.Int("loadgen-batch", 0, "max decides coalesced per batch (0: 512)")
-		lgPace   = flag.Float64("loadgen-pace", 0, "pace dispatch against the schedule clock (1: recorded speed; 0: flat out)")
-		lgPrefix = flag.String("loadgen-id-prefix", "", "override the spec's session-id prefix (several generators can share one server without id collisions)")
 	)
 	flag.Parse()
 
@@ -175,45 +148,6 @@ func main() {
 
 	if *debugAddr != "" {
 		go startDebug(*debugAddr, logger)
-	}
-
-	if *lgSpec != "" || *lgReplay != "" {
-		if *route || *fleetAddr != "" {
-			fatal(errors.New("-loadgen is a client mode; it cannot be combined with -route or -fleet"))
-		}
-		if *lgSpec != "" && *lgReplay != "" {
-			fatal(errors.New("-loadgen and -loadgen-replay are two sources for one schedule; pick one"))
-		}
-		if *lgPrefix != "" && *lgReplay != "" {
-			// A trace's events already carry their session ids; renaming
-			// them here would desync decides from the creates they follow.
-			fatal(errors.New("-loadgen-id-prefix rewrites generated ids; it cannot be combined with -loadgen-replay"))
-		}
-		loadgenMain(loadgenConfig{
-			spec:     *lgSpec,
-			replay:   *lgReplay,
-			addr:     *lgAddr,
-			direct:   *lgDirect,
-			record:   *lgRecord,
-			lanes:    *lgLanes,
-			batch:    *lgBatch,
-			pace:     *lgPace,
-			idPrefix: *lgPrefix,
-		}, logger)
-		return
-	}
-	flag.Visit(func(f *flag.Flag) {
-		if strings.HasPrefix(f.Name, "loadgen-") {
-			fatal(fmt.Errorf("-%s requires -loadgen or -loadgen-replay", f.Name))
-		}
-	})
-
-	if *fleetAddr != "" {
-		if *route {
-			fatal(errors.New("-fleet is a client mode; it cannot be combined with -route"))
-		}
-		fleetMain(*fleetAddr, *fleetSessions, *fleetFor, *fleetConns, logger)
-		return
 	}
 
 	if *route {
@@ -427,208 +361,6 @@ func routeMain(addr, tcpAddr, replicaList string, connsPer int, drainGrace time.
 	<-drained
 	if err := rt.Close(); err != nil {
 		fatal(err)
-	}
-}
-
-// fleetMain is the -fleet bench client: the ring-aware direct data
-// path (client.Fleet) driven flat out against a running router's
-// fleet, reporting end-to-end decisions/s. Sessions are created and
-// deleted through the router so the bench leaves the fleet as it
-// found it.
-func fleetMain(routerAddr string, sessions int, dur time.Duration, conns int, logger *slog.Logger) {
-	if sessions < 1 {
-		fatal(errors.New("-fleet-sessions must be at least 1"))
-	}
-	fl, err := client.DialFleetOpts(routerAddr, client.DialOptions{Conns: conns})
-	if err != nil {
-		fatal(err)
-	}
-	defer fl.Close()
-	replicas := len(fl.Replicas())
-	logger.Info("fleet client connected", "replicas", replicas, "epoch", fl.Epoch())
-
-	obsTemplate := governor.Observation{
-		Epoch:     1,
-		Cycles:    []uint64{30e6, 31e6, 29e6, 30e6},
-		Util:      []float64{0.6, 0.5, 0.7, 0.6},
-		ExecTimeS: 0.025,
-		PeriodS:   0.040,
-		WallTimeS: 0.040,
-		PowerW:    2,
-		TempC:     50,
-		OPPIdx:    10,
-	}
-	ids := make([]string, sessions)
-	obs := make([]governor.Observation, sessions)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("fleet-bench-%d-%d", os.Getpid(), i)
-		obs[i] = obsTemplate
-		body := fmt.Sprintf(`{"id":%q,"governor":"rtm","seed":%d}`, ids[i], i+1)
-		st, resp, err := fl.CreateSession([]byte(body))
-		if err != nil {
-			fatal(err)
-		}
-		if st != http.StatusCreated {
-			fatal(fmt.Errorf("creating %s: status %d: %s", ids[i], st, resp))
-		}
-	}
-	defer func() {
-		for _, id := range ids {
-			_, _, _ = fl.DeleteSession(id)
-		}
-	}()
-
-	lanes := 2 * replicas
-	if lanes < 2 {
-		lanes = 2
-	}
-	if lanes > sessions {
-		lanes = sessions
-	}
-	per := sessions / lanes
-	deadline := time.Now().Add(dur)
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	errCh := make(chan error, lanes)
-	for l := 0; l < lanes; l++ {
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			lo, hi := l*per, (l+1)*per
-			if l == lanes-1 {
-				hi = sessions
-			}
-			out := make([]client.Decision, hi-lo)
-			for time.Now().Before(deadline) {
-				if err := fl.DecideBatch(ids[lo:hi], obs[lo:hi], out); err != nil {
-					errCh <- err
-					return
-				}
-				for i := range out {
-					if out[i].Err != "" {
-						errCh <- fmt.Errorf("session %s: %s", ids[lo+i], out[i].Err)
-						return
-					}
-				}
-				total.Add(int64(hi - lo))
-			}
-		}(l)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		logger.Warn("fleet client failed", "err", err)
-		return
-	}
-	n := total.Load()
-	fmt.Printf("fleet-direct: %d decisions over %d replicas in %v (%d sessions, %d lanes): %.0f decisions/s\n",
-		n, replicas, dur, sessions, lanes, float64(n)/dur.Seconds())
-}
-
-type loadgenConfig struct {
-	spec     string
-	replay   string
-	addr     string
-	direct   bool
-	record   string
-	lanes    int
-	batch    int
-	pace     float64
-	idPrefix string
-}
-
-// loadgenMain is the -loadgen client mode: generate (or replay) a
-// deterministic workload schedule and drive it at a serving target — a
-// flat rtmd, a router, the fleet directly, or the in-process oracle when
-// no address is given. With -loadgen-record and no address, the schedule
-// is recorded without being executed (trace authoring).
-func loadgenMain(cfg loadgenConfig, logger *slog.Logger) {
-	var stream loadgen.Stream
-	if cfg.replay != "" {
-		f, err := os.Open(cfg.replay)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		stream = loadgen.NewTraceReader(f)
-	} else {
-		spec, err := loadgen.LoadSpec(cfg.spec)
-		if err != nil {
-			fatal(err)
-		}
-		if cfg.idPrefix != "" {
-			spec.IDPrefix = cfg.idPrefix
-		}
-		g, err := loadgen.New(spec)
-		if err != nil {
-			fatal(err)
-		}
-		stream = g
-	}
-
-	var recordTee *loadgen.Tee
-	if cfg.record != "" {
-		f, err := os.Create(cfg.record)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if cfg.addr == "" {
-			// Record-only: write the schedule and exit without executing.
-			n, err := loadgen.Record(f, stream)
-			if err != nil {
-				fatal(err)
-			}
-			logger.Info("recorded schedule", "events", n, "file", cfg.record)
-			return
-		}
-		recordTee = loadgen.NewTee(stream, f)
-		stream = recordTee
-	}
-
-	var target loadgen.Target
-	switch {
-	case cfg.addr == "":
-		logger.Info("loadgen driving the in-process oracle (no -loadgen-addr)")
-		target = loadgen.NewLocal()
-	case cfg.direct:
-		fl, err := client.DialFleet(cfg.addr)
-		if err != nil {
-			fatal(err)
-		}
-		defer fl.Close()
-		logger.Info("loadgen driving the fleet directly", "replicas", len(fl.Replicas()), "epoch", fl.Epoch())
-		target = fl
-	default:
-		cl, err := client.Dial(cfg.addr)
-		if err != nil {
-			fatal(err)
-		}
-		defer cl.Close()
-		target = cl
-	}
-
-	rep, err := loadgen.Run(stream, target, loadgen.RunOptions{
-		Lanes:     cfg.lanes,
-		BatchMax:  cfg.batch,
-		TimeScale: cfg.pace,
-	})
-	if recordTee != nil {
-		if ferr := recordTee.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	if err != nil {
-		fatal(err)
-	}
-	q := func(p float64) float64 { return rep.Latency.Quantile(p) }
-	fmt.Printf("loadgen: %d events (%d creates, %d deletes, %d decides, %d decide errors) in %.2fs: %.0f decides/s\n",
-		rep.Events, rep.Creates, rep.Deletes, rep.Decides, rep.DecideErrors, rep.WallS,
-		float64(rep.Decides)/rep.WallS)
-	fmt.Printf("loadgen: batch RTT p50 %.0fµs p99 %.0fµs p999 %.0fµs; peak live %d; checksum %016x\n",
-		q(0.50), q(0.99), q(0.999), rep.PeakLive, rep.Checksum)
-	if rep.CreateErrors != 0 || rep.DeleteErrors != 0 {
-		fatal(fmt.Errorf("control-plane errors: %d create, %d delete", rep.CreateErrors, rep.DeleteErrors))
 	}
 }
 

@@ -65,7 +65,7 @@
 //	                     with identical starting state — cold tables,
 //	                     one warm-start manifest — share immutable
 //	                     pages and copy only what they touch, cutting
-//	                     the per-session memory floor ~9x at soak scale
+//	                     the per-session memory floor ~9x under churn
 //	internal/xrand       the 8-byte splitmix64 deterministic generator
 //	                     (uniform/exponential/normal variates) that
 //	                     replaced per-session ~5 KB math/rand state in
@@ -99,10 +99,16 @@
 //	                     equivalence tests; its ring-aware Fleet
 //	                     fetches the membership table from the router
 //	                     and sends decide batches directly to the
-//	                     owning replicas (epoch-stamped replies
-//	                     trigger table refetch; misrouted decides are
-//	                     forwarded replica-side), taking the router
-//	                     out of the data path
+//	                     owning replicas (a failed direct send falls
+//	                     back to the router and refetches the table;
+//	                     misrouted decides are forwarded replica-side),
+//	                     taking the router out of the data path
+//	internal/loadgen     the seeded churn-schedule generator
+//	                     (heterogeneous clients, burst arrivals,
+//	                     session lifecycles, delete storms), its
+//	                     runner and in-process oracle (Local), and JSONL
+//	                     record/replay: the serve churn suites and the
+//	                     benchmark's churn workload are built on it
 //	internal/trace       sampled decide-path tracing: spans (route,
 //	                     relay, decide, forward) in a fixed lock-free
 //	                     ring, probabilistic head sampling plus tail
@@ -131,9 +137,8 @@
 // -load-state freeze and warm-start any learner), cmd/rtmd serves
 // governor decisions over HTTP and (-listen-tcp) the binary wire
 // protocol — or, with -route -replicas, fronts a sharded replica fleet
-// as a stateless consistent-hash router, or, with -fleet, benches a
-// running fleet through the ring-aware direct client — cmd/tracegen
-// emits workload traces,
+// as a stateless consistent-hash router — cmd/tracegen emits workload
+// traces,
 // cmd/benchjson converts benchmark output to the BENCH_<n>.json perf
 // artifacts, cmd/promlint lints a Prometheus exposition against series
 // and byte budgets; examples/ holds runnable API walkthroughs; the benchmarks

@@ -280,9 +280,6 @@ func TestRunLaneIndependence(t *testing.T) {
 		if rep.PeakLive == 0 || rep.Decides == 0 || rep.Creates == 0 {
 			t.Fatalf("lanes=%d: hollow run: %+v", opts.Lanes, rep)
 		}
-		if rep.Latency.Count() == 0 {
-			t.Fatalf("lanes=%d: no batch latency samples", opts.Lanes)
-		}
 		if first == nil {
 			first = rep
 			continue

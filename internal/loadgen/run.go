@@ -11,7 +11,6 @@ import (
 
 	"qgov/internal/governor"
 	"qgov/internal/serve/client"
-	"qgov/internal/stats"
 	"qgov/internal/strhash"
 )
 
@@ -25,10 +24,8 @@ type Target interface {
 	DecideBatch(sessions []string, obs []governor.Observation, out []client.Decision) error
 }
 
-// Counters is the runner's live-visible state: a caller that needs a
-// mid-run view (the soak memory sampler) passes its own instance in
-// RunOptions and polls it concurrently.
-type Counters struct {
+// counters is the run's state shared by its lanes.
+type counters struct {
 	Creates      atomic.Int64
 	CreateErrors atomic.Int64
 	Deletes      atomic.Int64
@@ -39,7 +36,7 @@ type Counters struct {
 	PeakLive     atomic.Int64
 }
 
-func (c *Counters) bumpLive(delta int64) {
+func (c *counters) bumpLive(delta int64) {
 	live := c.Live.Add(delta)
 	for {
 		peak := c.PeakLive.Load()
@@ -53,7 +50,7 @@ func (c *Counters) bumpLive(delta int64) {
 // aggregate over every successful decision (session id, epoch, chosen
 // OPP): two runs of the same schedule against deterministic targets must
 // produce equal checksums regardless of lane count or interleaving — the
-// soak determinism contract.
+// churn suites' determinism contract.
 type Report struct {
 	Events       int64   `json:"events"`
 	Creates      int64   `json:"creates"`
@@ -66,19 +63,7 @@ type Report struct {
 	EndLive      int64   `json:"end_live"`
 	Checksum     uint64  `json:"checksum"`
 	WallS        float64 `json:"wall_s"`
-
-	// Latency is the batch round-trip distribution in µs (one sample per
-	// decide batch — client-side, so it survives session churn, unlike
-	// the server's per-session histograms which die with their session).
-	Latency *stats.Histogram `json:"-"`
 }
-
-// Batch RTT histogram geometry: [1 µs, 10 s], ten log bins per decade.
-const (
-	rttHistLoUS = 1
-	rttHistHiUS = 1e7
-	rttHistBins = 70
-)
 
 // RunOptions tunes a run; the zero value is a sensible default.
 type RunOptions struct {
@@ -89,13 +74,6 @@ type RunOptions struct {
 	// BatchMax caps decides coalesced into one DecideBatch call
 	// (default 512, max client.MaxBatch).
 	BatchMax int
-	// TimeScale, when positive, paces dispatch against the schedule
-	// clock: 1.0 replays at recorded speed, 0.5 at double speed. 0 runs
-	// flat out (the soak and bench default).
-	TimeScale float64
-	// Counters, when non-nil, receives the run's live counters so the
-	// caller can observe progress concurrently.
-	Counters *Counters
 }
 
 // decideChecksum folds one successful decision into the order-independent
@@ -110,7 +88,7 @@ func decideChecksum(session string, epoch, opp int) uint64 {
 // coalescing consecutive decides into batches.
 type lane struct {
 	target   target
-	counters *Counters
+	counters *counters
 	batchMax int
 
 	sessions []string
@@ -119,7 +97,6 @@ type lane struct {
 	out      []client.Decision
 
 	checksum uint64
-	lat      *stats.Histogram
 	err      error
 }
 
@@ -191,10 +168,7 @@ func (l *lane) flush() {
 		l.out = make([]client.Decision, n)
 	}
 	out := l.out[:n]
-	start := time.Now()
-	err := l.target.DecideBatch(l.sessions, l.obs[:n], out)
-	l.lat.Add(float64(time.Since(start)) / float64(time.Microsecond))
-	if err != nil {
+	if err := l.target.DecideBatch(l.sessions, l.obs[:n], out); err != nil {
 		l.err = fmt.Errorf("loadgen: decide batch: %w", err)
 		return
 	}
@@ -231,10 +205,7 @@ func Run(s Stream, t Target, opts RunOptions) (*Report, error) {
 	if batchMax > client.MaxBatch {
 		batchMax = client.MaxBatch
 	}
-	counters := opts.Counters
-	if counters == nil {
-		counters = &Counters{}
-	}
+	cnt := &counters{}
 
 	chans := make([]chan Event, lanes)
 	ls := make([]*lane, lanes)
@@ -243,9 +214,8 @@ func Run(s Stream, t Target, opts RunOptions) (*Report, error) {
 		chans[i] = make(chan Event, 4*batchMax)
 		ls[i] = &lane{
 			target:   t,
-			counters: counters,
+			counters: cnt,
 			batchMax: batchMax,
-			lat:      stats.NewLogHistogram(rttHistLoUS, rttHistHiUS, rttHistBins),
 		}
 		wg.Add(1)
 		go func(l *lane, ch chan Event) {
@@ -269,12 +239,6 @@ func Run(s Stream, t Target, opts RunOptions) (*Report, error) {
 		if !ok {
 			break
 		}
-		if opts.TimeScale > 0 {
-			due := time.Duration(ev.AtS * opts.TimeScale * float64(time.Second))
-			if ahead := due - time.Since(start); ahead > 0 {
-				time.Sleep(ahead)
-			}
-		}
 		events++
 		chans[strhash.String(ev.Session)%uint64(lanes)] <- ev
 	}
@@ -285,23 +249,19 @@ func Run(s Stream, t Target, opts RunOptions) (*Report, error) {
 
 	rep := &Report{
 		Events:       events,
-		Creates:      counters.Creates.Load(),
-		CreateErrors: counters.CreateErrors.Load(),
-		Deletes:      counters.Deletes.Load(),
-		DeleteErrors: counters.DeleteErrors.Load(),
-		Decides:      counters.Decides.Load(),
-		DecideErrors: counters.DecideErrors.Load(),
-		PeakLive:     counters.PeakLive.Load(),
-		EndLive:      counters.Live.Load(),
+		Creates:      cnt.Creates.Load(),
+		CreateErrors: cnt.CreateErrors.Load(),
+		Deletes:      cnt.Deletes.Load(),
+		DeleteErrors: cnt.DeleteErrors.Load(),
+		Decides:      cnt.Decides.Load(),
+		DecideErrors: cnt.DecideErrors.Load(),
+		PeakLive:     cnt.PeakLive.Load(),
+		EndLive:      cnt.Live.Load(),
 		WallS:        time.Since(start).Seconds(),
-		Latency:      stats.NewLogHistogram(rttHistLoUS, rttHistHiUS, rttHistBins),
 	}
 	var firstErr error = streamErr
 	for _, l := range ls {
 		rep.Checksum += l.checksum
-		if err := rep.Latency.Merge(l.lat); err != nil && firstErr == nil {
-			firstErr = err
-		}
 		if l.err != nil && firstErr == nil {
 			firstErr = l.err
 		}

@@ -4,11 +4,13 @@
 // lifecycle churn — create, decide for a lifetime, delete, repeat, plus
 // fleet-wide create/delete storms. Everything is driven by one seed:
 // the same Spec and seed produce a byte-identical schedule on any
-// machine at any GOMAXPROCS, so a soak run is an experiment, not an
+// machine at any GOMAXPROCS, so a churn run is an experiment, not an
 // anecdote. Schedules can be recorded to JSONL and replayed
 // byte-identically (trace.go), and executed against any serving target —
 // a flat server, the router, the direct fleet client, or an in-process
-// oracle (run.go).
+// oracle (run.go). The serve package's churn suites drive schedules
+// through Run and check them against Local; the benchmark (bench/)
+// builds its churn workload from the same generator.
 //
 // The model follows the ServeGen observation that production load is not
 // one distribution: each client class holds its own arrival process and
@@ -18,9 +20,7 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"qgov/internal/governor"
 	"qgov/internal/scenario"
@@ -200,25 +200,4 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// LoadSpec reads and validates a Spec from a JSON file. Unknown fields
-// are errors — a typo in a soak spec must fail loudly, not silently run
-// a different workload.
-func LoadSpec(path string) (Spec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Spec{}, err
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("loadgen: parsing %s: %w", path, err)
-	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

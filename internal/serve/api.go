@@ -311,7 +311,7 @@ func (s *Server) metrics(top int) (metricsJSON, error) {
 		CheckpointSkipped: s.ckptSkipped.Load(),
 	}
 	out.QTablePoolPages, out.QTablePoolSharedBytes, out.QTableCowFaults = s.qpool.Stats()
-	if agg := s.DecideLatency(); agg != nil {
+	if agg := s.decideLatency(); agg != nil {
 		lj := latencyFromHistogram(agg)
 		out.DecideLatency = &lj
 	}

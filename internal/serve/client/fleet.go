@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"qgov/internal/governor"
 	"qgov/internal/ring"
@@ -34,14 +33,6 @@ import (
 // Methods are safe for concurrent use.
 type Fleet struct {
 	routerAddr string
-	// conns is DialOptions.Conns for every replica connection the Fleet
-	// opens (the router connection stays single — it is control-plane
-	// plus fallback, not the steady-state data path).
-	connsPer int
-
-	// Timeout is handed to every underlying Client (see Client.Timeout).
-	// Set before sharing the Fleet.
-	Timeout time.Duration
 
 	// refreshMu serialises table refetches so a burst of stale replies
 	// causes one refresh, not one per batch.
@@ -51,7 +42,6 @@ type Fleet struct {
 	// and the per-replica connections.
 	mu     sync.RWMutex
 	router *Client
-	epoch  uint32
 	ring   *ring.Ring
 	conns  map[string]*Client
 }
@@ -61,25 +51,15 @@ type Fleet struct {
 // server (no fleet) the table is empty and every call transparently
 // uses the single connection — a Fleet degrades to a plain Client.
 func DialFleet(routerAddr string) (*Fleet, error) {
-	return DialFleetOpts(routerAddr, DialOptions{})
-}
-
-// DialFleetOpts is DialFleet with per-replica connection options:
-// opt.Conns connections are opened to every replica (batches stripe
-// across them; see DialOptions), and opt.Timeout seeds Fleet.Timeout.
-func DialFleetOpts(routerAddr string, opt DialOptions) (*Fleet, error) {
 	rc, err := Dial(routerAddr)
 	if err != nil {
 		return nil, err
 	}
 	f := &Fleet{
 		routerAddr: routerAddr,
-		connsPer:   opt.Conns,
-		Timeout:    opt.Timeout,
 		router:     rc,
 		conns:      map[string]*Client{},
 	}
-	rc.Timeout = opt.Timeout
 	if err := f.Refresh(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("client: fetching membership from %s: %w", routerAddr, err)
@@ -123,7 +103,7 @@ func (f *Fleet) Refresh() error {
 		if down[a] {
 			continue // the router will answer for it (degraded), or has reconnected by the next refresh
 		}
-		c, err := DialOpts(a, DialOptions{Conns: f.connsPer, Timeout: f.timeout()})
+		c, err := Dial(a)
 		if err != nil {
 			continue // same: fall back to the router for this member's keys
 		}
@@ -138,7 +118,6 @@ func (f *Fleet) Refresh() error {
 	old := f.conns
 	f.conns = next
 	f.ring = rg
-	f.epoch = msg.Epoch
 	f.mu.Unlock()
 	for a, c := range old {
 		if next[a] != c {
@@ -160,7 +139,6 @@ func (f *Fleet) fetchMembers() (wire.Members, error) {
 		if derr != nil {
 			return wire.Members{}, fmt.Errorf("members fetch failed (%v) and redial failed: %w", err, derr)
 		}
-		nc.Timeout = f.timeout()
 		f.mu.Lock()
 		old := f.router
 		f.router = nc
@@ -178,14 +156,6 @@ func (f *Fleet) fetchMembers() (wire.Members, error) {
 		return wire.Members{}, fmt.Errorf("members fetch: bad body: %w", err)
 	}
 	return msg, nil
-}
-
-// Epoch returns the membership epoch of the installed table (0 against
-// a flat server).
-func (f *Fleet) Epoch() uint32 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.epoch
 }
 
 // Replicas returns the members of the installed table the Fleet
@@ -375,6 +345,3 @@ func (f *Fleet) Close() error {
 	}
 	return err
 }
-
-// timeout returns the configured per-call timeout for new connections.
-func (f *Fleet) timeout() time.Duration { return f.Timeout }

@@ -76,9 +76,17 @@ func TestHTTPParityFlatVsRouter(t *testing.T) {
 			Top              json.RawMessage `json:"top"`
 			CheckpointWrites int64           `json:"checkpoint_writes"`
 			QTablePoolPages  int64           `json:"qtable_pool_pages"`
+			DecideLatency    struct {
+				Count int64 `json:"count"`
+			} `json:"decide_latency"`
 		}
 		if err := json.Unmarshal(body, &m); err != nil {
 			t.Fatal(err)
+		}
+		// The latency histogram counts exactly the decisions served: a
+		// decide the governor rejected is in neither.
+		if m.DecideLatency.Count != m.Decisions {
+			t.Errorf("decide_latency.count %d != decisions %d", m.DecideLatency.Count, m.Decisions)
 		}
 		return m
 	}
@@ -107,7 +115,10 @@ func TestHTTPParityFlatVsRouter(t *testing.T) {
 		{want: 200, method: "GET", path: "/v1/sessions/p1"},
 		{want: 404, method: "GET", path: "/v1/sessions/ghost"},
 		{want: 404, method: "DELETE", path: "/v1/sessions/ghost"},
-		{want: 200, method: "POST", path: "/v1/decide", body: `{"requests":[{"session":"p1","obs":` + obs + `},{"session":"ghost","obs":` + obs + `}]}`},
+		{want: 200, method: "POST", path: "/v1/decide", body: `{"requests":[{"session":"p1","obs":{"epoch":-1}},{"session":"p2","obs":{"epoch":-1}}]}`},
+		// p1 is an uncalibrated rtm and obs carries no cycles, so its
+		// governor rejects the observation; p2 (ondemand) decides it.
+		{want: 200, method: "POST", path: "/v1/decide", body: `{"requests":[{"session":"p1","obs":` + obs + `},{"session":"p2","obs":` + obs + `},{"session":"ghost","obs":` + obs + `}]}`},
 		{want: 200, method: "POST", path: "/v1/sessions/p1/checkpoint"},
 		{want: 404, method: "POST", path: "/v1/sessions/ghost/checkpoint"},
 		{want: 400, method: "POST", path: "/v1/decide", body: `{"requests":[]}`},

@@ -599,25 +599,6 @@ func (rt *Router) recordHop(addr string, d time.Duration) {
 	rt.hopmu.Unlock()
 }
 
-// HopLatency merges the per-replica relay-hop histograms into one
-// router-wide histogram (microseconds), or nil before the first relayed
-// batch. The merge is a copy; the caller owns the result.
-func (rt *Router) HopLatency() *stats.Histogram {
-	rt.hopmu.Lock()
-	defer rt.hopmu.Unlock()
-	var merged *stats.Histogram
-	for _, h := range rt.hops {
-		if merged == nil {
-			merged = stats.NewHistogram(0, routeHopHiUS, routeHopBins)
-		}
-		if err := merged.Merge(h); err != nil {
-			// Same fixed shape by construction; a mismatch is a bug.
-			panic("serve: merging hop histograms: " + err.Error())
-		}
-	}
-	return merged
-}
-
 // hopSnapshot renders the per-replica hop histograms for /v1/metrics.
 func (rt *Router) hopSnapshot() map[string]latencyJSON {
 	rt.hopmu.Lock()

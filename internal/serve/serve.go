@@ -327,11 +327,11 @@ func (s *Server) QPoolStats() (pages, bytes, faults int64) { return s.qpool.Stat
 // the /v1/trace handlers. Never nil.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
-// DecideLatency merges the aggregate latency stripes into one fresh
+// decideLatency merges the aggregate latency stripes into one fresh
 // histogram (µs, the shared log geometry) — the O(1)-in-sessions figure
-// the Prometheus exposition and the soak harness report. Returns nil
-// when no decision has been recorded yet.
-func (s *Server) DecideLatency() *stats.Histogram {
+// /v1/metrics and the Prometheus exposition report. Returns nil when no
+// decision has been recorded yet.
+func (s *Server) decideLatency() *stats.Histogram {
 	var merged *stats.Histogram
 	for i := range s.latAgg {
 		st := &s.latAgg[i]
@@ -388,15 +388,6 @@ func (s *Server) checkpointLoop() {
 
 // SessionCount reports the live session count (what /healthz serves).
 func (s *Server) SessionCount() int { return s.sessions.Len() }
-
-// CheckpointCounters reports the sweep's write-amplification accounting:
-// session states actually written vs skipped because nothing had decided
-// since the last write. The skip count is the I/O the dirty-flag check
-// saves; embedding harnesses (the soak runner) read it directly instead
-// of scraping /v1/metrics.
-func (s *Server) CheckpointCounters() (writes, skipped int64) {
-	return s.ckptWrites.Load(), s.ckptSkipped.Load()
-}
 
 // snapshotSessions copies the live session set out of the store (Range
 // holds shard locks; the work happens on the copy).
@@ -910,11 +901,13 @@ func (s *Server) deleteSession(id string) bool {
 	return true
 }
 
-// decide serialises one decision on the session and records its latency
-// (µs under the session lock) in the server-wide aggregate /v1/metrics
-// reports. A non-finite or out-of-range reading is refused before the
-// lock: fed to a learner it would poison the Q-table (a NaN makes every
-// later checkpoint of the session fail to encode) or skew it silently.
+// decide serialises one decision on the session and, when it succeeds,
+// records its latency (µs under the session lock) in the server-wide
+// aggregate /v1/metrics reports, so that histogram counts exactly the
+// decisions the decisions counter does. A non-finite or out-of-range
+// reading is refused before the lock: fed to a learner it would poison
+// the Q-table (a NaN makes every later checkpoint of the session fail
+// to encode) or skew it silently.
 // Governor panics (a malformed observation hitting a harness-bug
 // assertion) are contained per call so one bad request cannot take the
 // server down.
@@ -934,6 +927,7 @@ func (sess *session) decide(obs governor.Observation) (idx int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("governor rejected the observation: %v", r)
+			return
 		}
 		if sess.stripe != nil {
 			sess.stripe.add(float64(time.Since(start)) / float64(time.Microsecond))
