@@ -523,7 +523,7 @@ func (s *Server) health() healthJSON {
 		Status:      "ok",
 		Sessions:    s.sessions.Len(),
 		Decisions:   s.decisions.Load(),
-		MemberEpoch: s.fleetEpoch.Load(),
+		MemberEpoch: s.membersTable().Epoch,
 		Forwarded:   s.forwarded.Load(),
 	}
 }

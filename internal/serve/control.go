@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"log/slog"
 	"net/http"
 
 	"qgov/internal/wire"
@@ -12,7 +13,7 @@ import (
 // planes share request and response JSON and status codes by
 // construction and differ only in framing. On the binary plane it runs
 // in the TCP connection worker between decide batches (control frames
-// are ordering barriers; see tcpConn.respond).
+// are ordering barriers; see tcpConn.dispatch).
 func (s *Server) control(op byte, session string, body []byte) (status uint16, resp []byte) {
 	switch op {
 	case wire.OpCreate:
@@ -86,6 +87,20 @@ func (s *Server) control(op byte, session string, body []byte) (status uint16, r
 	default:
 		return http.StatusBadRequest, errorBody(errf("unknown control op 0x%02x", op))
 	}
+}
+
+// callControl runs one control op for either plane: the connection
+// worker's barrier and every HTTP route call it. A panicking op answers
+// 500 naming the op, where it would otherwise kill the process (the
+// binary plane) or drop the connection unanswered (HTTP).
+func callControl(b connBackend, log *slog.Logger, op byte, session string, body []byte) (status uint16, resp []byte) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Error("control op panicked", "op", op, "session", session, "panic", p)
+			status, resp = http.StatusInternalServerError, errorBody(errf("control op 0x%02x panicked: %v", op, p))
+		}
+	}()
+	return b.control(op, session, body)
 }
 
 func jsonBody(v any) []byte {

@@ -17,7 +17,7 @@ import (
 // This file is the replica's side of fleet membership. The router pushes
 // the membership table (a wire.Members document) to every replica via
 // OpMembers when it starts and whenever a replica restarts; the replica
-// installs it, stamps its epoch into every decide reply, and — when a
+// installs it, reports its epoch in the health document, and — when a
 // direct client sends a decide for a session the ring places elsewhere
 // — forwards the request to the owner instead of failing it. Forwarded
 // frames carry wire.FlagForwarded and are never relayed a second time,
@@ -31,10 +31,6 @@ type fleetView struct {
 	table wire.Members
 	ring  *ring.Ring
 }
-
-// memberEpoch implements connBackend: the installed membership epoch,
-// stamped into every decide reply (0 outside any fleet).
-func (s *Server) memberEpoch() uint32 { return s.fleetEpoch.Load() }
 
 // originName is the span origin this replica stamps on its traces: its
 // own fleet address, or "" for a flat server outside any fleet (a
@@ -89,7 +85,6 @@ func (s *Server) installMembers(msg wire.Members) (uint16, []byte) {
 		return http.StatusOK, jsonBody(cur.table)
 	}
 	s.fleet = &fleetView{table: msg, ring: ring.New(msg.VNodes, msg.Members...)}
-	s.fleetEpoch.Store(msg.Epoch)
 	s.fleetMu.Unlock()
 	s.log.Info("installed membership", "epoch", msg.Epoch, "members", len(msg.Members), "self", msg.Self)
 	return http.StatusOK, jsonBody(msg)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"strconv"
 
@@ -11,9 +12,10 @@ import (
 // This file is the HTTP front of both tiers: one mux over connBackend,
 // the interface the binary listener already drives. A flat Server and a
 // Router therefore answer every HTTP route with the code their binary
-// connections run — control ops through control, JSON decide batches
-// through decideBatch (head sampling, slow-batch capture and misroute
-// forwarding included) — and the two planes differ only in framing.
+// connections run — control ops through callControl, JSON decide
+// batches through startBatch (head sampling, slow-batch capture and
+// misroute forwarding included) — and the two planes differ only in
+// framing.
 
 // maxBodyBytes bounds any request body (calibration series and inline
 // checkpoints are the big ones).
@@ -30,17 +32,26 @@ const maxDecideBatch = 4096
 const maxTopSessions = 64
 
 // Handler returns the flat server's HTTP API.
-func (s *Server) Handler() http.Handler { return newHTTPHandler(s) }
+func (s *Server) Handler() http.Handler { return newHTTPHandler(s, s.log) }
 
 // Handler returns the router's HTTP API: the same surface a flat server
 // exposes, so existing clients point at the router unchanged.
-func (rt *Router) Handler() http.Handler { return newHTTPHandler(rt) }
+func (rt *Router) Handler() http.Handler { return newHTTPHandler(rt, rt.log) }
 
-func newHTTPHandler(b connBackend) http.Handler {
+func newHTTPHandler(b connBackend, log *slog.Logger) http.Handler {
+	// reply answers a route with one control op's result; the two planes
+	// share status codes and bodies by construction.
+	reply := func(w http.ResponseWriter, op byte, session string, body []byte) {
+		status, resp := callControl(b, log, op, session, body)
+		if len(resp) > 0 {
+			w.Header().Set("Content-Type", "application/json")
+		}
+		w.WriteHeader(int(status))
+		_, _ = w.Write(resp)
+	}
 	ctl := func(op byte) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			status, body := b.control(op, r.PathValue("id"), nil)
-			writeControlResult(w, status, body)
+			reply(w, op, r.PathValue("id"), nil)
 		}
 	}
 	mux := http.NewServeMux()
@@ -49,15 +60,13 @@ func newHTTPHandler(b connBackend) http.Handler {
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		status, body := b.control(wire.OpCreate, req.ID, jsonBody(req))
-		writeControlResult(w, status, body)
+		reply(w, wire.OpCreate, req.ID, jsonBody(req))
 	})
 	mux.HandleFunc("POST /v1/decide", func(w http.ResponseWriter, r *http.Request) {
 		serveDecide(b, w, r)
 	})
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		status, body := b.control(wire.OpList, "", jsonBody(urlQuery(r)))
-		writeControlResult(w, status, body)
+		reply(w, wire.OpList, "", jsonBody(urlQuery(r)))
 	})
 	mux.HandleFunc("GET /v1/sessions/{id}", ctl(wire.OpInfo))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", ctl(wire.OpDelete))
@@ -67,8 +76,7 @@ func newHTTPHandler(b connBackend) http.Handler {
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		q := urlQuery(r)
 		if !wantsPrometheus(r) {
-			status, body := b.control(wire.OpMetrics, "", jsonBody(q))
-			writeControlResult(w, status, body)
+			reply(w, wire.OpMetrics, "", jsonBody(q))
 			return
 		}
 		m, err := b.metrics(q.Top)
@@ -85,8 +93,7 @@ func newHTTPHandler(b connBackend) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		status, body := b.control(wire.OpTrace, "", jsonBody(q))
-		writeControlResult(w, status, body)
+		reply(w, wire.OpTrace, "", jsonBody(q))
 	})
 	return mux
 }
@@ -94,7 +101,7 @@ func newHTTPHandler(b connBackend) http.Handler {
 // serveDecide answers a JSON decide batch: one observation per
 // controlled session in, one operating-point decision each out. The
 // entries become binary-path requests and decide through the backend's
-// decideBatch, so entries fail independently exactly as binary frames do,
+// startBatch, so entries fail independently exactly as binary frames do,
 // and several observations for one session apply in arrival order.
 func serveDecide(b connBackend, w http.ResponseWriter, r *http.Request) {
 	var req decideRequest
@@ -117,7 +124,7 @@ func serveDecide(b connBackend, w http.ResponseWriter, r *http.Request) {
 		reqs[i].m.Obs = item.Obs.observation()
 		batch[i] = &reqs[i]
 	}
-	b.decideBatch(batch)
+	<-b.startBatch(batch)
 	resp := decideResponse{Decisions: make([]decisionJSON, n)}
 	for i, r := range batch {
 		// Every failure path leaves oppIdx -1 and freqMHz 0.
@@ -151,18 +158,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// writeControlResult relays a control result as an HTTP response; the
-// two planes share status codes and bodies by construction.
-func writeControlResult(w http.ResponseWriter, status uint16, body []byte) {
-	if len(body) == 0 {
-		w.WriteHeader(int(status))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(int(status))
-	_, _ = w.Write(body)
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {

@@ -43,7 +43,9 @@ import (
 //
 // The router serves the same two fronts as a replica — Handler (the
 // HTTP API, built by the same code as the flat server's) and
-// NewRouterTCP (the binary transport). Clients cannot tell a router
+// NewRouterTCP (the binary transport, whose connections run the flat
+// server's worker; only startBatch differs, asynchronous here and
+// synchronous there). Clients cannot tell a router
 // from a flat server — the router equivalence test holds routed
 // decision streams byte-identical to a single server over the same
 // session set.
@@ -199,14 +201,6 @@ func (rt *Router) dialReplica(addr string) (*client.Client, error) {
 	return client.DialOpts(addr, client.DialOptions{Conns: rt.opt.ConnsPerReplica})
 }
 
-// memberEpoch implements connBackend: routed decide replies carry the
-// fleet epoch, exactly as replies straight off a replica do.
-func (rt *Router) memberEpoch() uint32 { return routerEpoch }
-
-// Tracer exposes the router's span ring, for embedding harnesses and
-// the /v1/trace handlers. Never nil.
-func (rt *Router) Tracer() *trace.Tracer { return rt.tracer }
-
 // Close stops the prober and closes every replica connection; later
 // decides and controls fail with the closed connection's error.
 // Idempotent.
@@ -343,13 +337,6 @@ func (rt *Router) probeOnce() {
 	}
 }
 
-// decideBatch implements connBackend: it relays the batch through
-// startBatch and blocks until every entry is answered. The JSON decide
-// path comes through here; the binary transport calls startBatch
-// directly, so the connection's reader keeps pulling frames while a
-// batch is in flight.
-func (rt *Router) decideBatch(batch []*observeReq) { <-rt.startBatch(batch) }
-
 // routeGroup is one replica's slice of a relayed batch: the original
 // batch positions, the observe payloads aliased straight out of the
 // requests, and the decision slots the relay fills.
@@ -410,13 +397,14 @@ func (s *routeScratch) release() {
 	routeScratchPool.Put(s)
 }
 
-// startBatch implements batchStarter: it relays the batch's already-
+// startBatch implements connBackend: it relays the batch's already-
 // encoded observe payloads to their owning replicas — no decode, no
 // re-encode, only the request id is rewritten per frame — and returns a
 // channel that closes when every entry is answered. Grouping and
 // dispatch run on the caller's goroutine (so per-replica frame order
 // follows arrival order); waiting moves to a completion goroutine, so
-// the transport can keep further batches in flight.
+// the connection keeps further batches in flight. JSON decides wait on
+// the channel.
 func (rt *Router) startBatch(batch []*observeReq) <-chan struct{} {
 	done := make(chan struct{})
 	s := routeScratchPool.Get().(*routeScratch)
@@ -806,9 +794,10 @@ func (rt *Router) aggregateList(q controlQuery) (uint16, []byte) {
 
 // NewRouterTCP wraps a Router with a binary-transport listener — the
 // routed twin of NewTCP. Clients speak the identical protocol; the
-// router forwards each frame to the replica that owns its session.
+// router forwards each frame to the replica that owns its session, so
+// the reader keeps observe payloads raw for the relay.
 func NewRouterTCP(rt *Router, lis net.Listener) *TCPServer {
-	return newTCPListener(rt, lis, rt.log)
+	return newTCPListener(rt, lis, rt.log, true)
 }
 
 // memberHealthJSON is one member's slot in the fleet health document.

@@ -211,12 +211,10 @@ type Server struct {
 
 	// Fleet membership (fleet.go): the table the router pushed, the ring
 	// built from it, and one peer client per forwarding target. fleetMu
-	// guards all three; fleetEpoch mirrors the installed epoch for the
-	// reply hot path.
-	fleetMu    sync.RWMutex
-	fleet      *fleetView
-	peers      map[string]*client.Client
-	fleetEpoch atomic.Uint32
+	// guards all three.
+	fleetMu sync.RWMutex
+	fleet   *fleetView
+	peers   map[string]*client.Client
 
 	done      chan struct{}
 	loopWG    sync.WaitGroup
@@ -322,10 +320,6 @@ func New(opt Options) *Server {
 // their bytes right now, and cumulative copy-on-write faults — the
 // memory-floor observability /v1/metrics exports.
 func (s *Server) QPoolStats() (pages, bytes, faults int64) { return s.qpool.Stats() }
-
-// Tracer exposes the server's span ring, for embedding harnesses and
-// the /v1/trace handlers. Never nil.
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // decideLatency merges the aggregate latency stripes into one fresh
 // histogram (µs, the shared log geometry) — the O(1)-in-sessions figure

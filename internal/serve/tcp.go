@@ -25,13 +25,15 @@ import (
 // costs ~100 bytes and decodes allocation-free, so a persistent
 // connection pushes decisions/s toward the governor's own throughput.
 //
-// Each connection runs two goroutines. A reader decodes MsgObserve
-// frames into pooled requests; a worker drains everything the reader has
-// queued into one batch (connection-level batching: requests that arrive
-// while the previous batch is deciding coalesce into the next fan-out),
-// decides the batch through the same fanOut/session path as HTTP, and
-// writes the MsgDecide responses back with a single flush. Requests fail
-// independently, exactly like entries of the JSON batch.
+// Each connection runs three goroutines. A reader decodes frames into
+// pooled requests. A dispatcher drains everything the reader has queued
+// into one batch (connection-level batching: requests that arrive while
+// earlier batches are deciding coalesce into the next fan-out) and
+// starts it through the backend's startBatch, keeping up to
+// pipelineDepth batches in flight. A writer answers the batches strictly
+// in dispatch order, which equals arrival order, flushing whenever the
+// next batch is not ready yet. Requests fail independently, exactly like
+// entries of the JSON batch.
 //
 // Connections carry the whole protocol: the observe→decide hot loop
 // plus MsgControl session-lifecycle frames (create, checkpoint, delete,
@@ -44,12 +46,16 @@ import (
 // The listener is generic over a connBackend: a Server answers locally
 // (NewTCP); a Router answers by forwarding to the replica that owns
 // each session (NewRouterTCP). Connection handling — batching, barrier
-// ordering, drain — is identical either way, which is what keeps the
+// ordering, drain — is one code path either way, which is what keeps the
 // routed path's semantics equal to the flat server's by construction.
 type TCPServer struct {
 	b   connBackend
 	lis net.Listener
 	log *slog.Logger
+	// relay marks a listener whose backend forwards observes verbatim (a
+	// router): the reader then keeps each observe's raw payload instead
+	// of decoding it.
+	relay bool
 
 	mu     sync.Mutex
 	conns  map[*tcpConn]struct{}
@@ -60,57 +66,53 @@ type TCPServer struct {
 
 // connBackend answers the two frame families a binary connection
 // carries — and, through the one HTTP mux (http.go), every HTTP route
-// too. decideBatch fills each request's answer in place; control
-// executes one lifecycle op and returns an HTTP-vocabulary status with
-// a JSON body.
+// too.
 type connBackend interface {
-	decideBatch(batch []*observeReq)
+	// startBatch answers every request of the batch in place and returns
+	// a channel that closes once all are answered. A Server decides the
+	// batch before returning (the channel is answered, already closed);
+	// a Router relays it and closes the channel from a completion
+	// goroutine, so a connection overlaps a relay's round trips with the
+	// next drain. Requests off a relay listener carry their raw observe
+	// payload; JSON decides and a Server's requests carry the decoded m.
+	startBatch(batch []*observeReq) <-chan struct{}
+	// control executes one lifecycle op and returns an HTTP-vocabulary
+	// status with a JSON body. Both planes call it through callControl.
 	control(op byte, session string, body []byte) (status uint16, resp []byte)
 	// metrics is the document OpMetrics serves, unencoded, so the
 	// Prometheus scrape renders it without a JSON round trip. top, as
 	// normalised into [0, maxTopSessions], adds that many of the busiest
 	// learning sessions.
 	metrics(top int) (metricsJSON, error)
-	// memberEpoch is the fleet membership epoch stamped into every decide
-	// reply (0 outside any fleet).
-	memberEpoch() uint32
 }
 
-// batchStarter is the optional pipelined refinement of connBackend: the
-// backend dispatches a batch asynchronously and returns a channel that
-// closes when every entry is answered. A connection whose backend
-// implements it overlaps batches — up to pipelineDepth dispatched
-// batches wait for answers while the reader keeps coalescing the next —
-// instead of blocking the respond worker on each batch in turn. The
-// router implements it: a relay's round trips to the replicas are
-// exactly the waits worth overlapping, and one slow replica then stalls
-// only its own lane instead of the connection.
-//
-// Requests reaching startBatch carry their raw observe payload (the
-// reader captures it), so a relaying backend forwards the encoded bytes
-// without re-encoding. Replies still go back in dispatch order — the
-// client-visible stream is indistinguishable from the serial worker's.
-type batchStarter interface {
-	startBatch(batch []*observeReq) <-chan struct{}
-}
+// answered is an already-closed channel: the done of a synchronous
+// startBatch and of every control flight, whose answers are in place
+// when it is handed out.
+var answered = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
-// pipelineDepth is how many decide batches a pipelined connection keeps
-// in flight toward the replicas before the reader stops pulling new
-// frames off it.
+// pipelineDepth is how many dispatched batches a connection keeps
+// waiting for answers before the dispatcher stops pulling new frames off
+// it.
 const pipelineDepth = 4
 
 // NewTCP wraps srv with a binary-transport listener. Call Serve to
 // accept; Shutdown (or Close) before srv.Close so the final checkpoint
 // sees every drained decision.
 func NewTCP(srv *Server, lis net.Listener) *TCPServer {
-	return newTCPListener(srv, lis, srv.log)
+	return newTCPListener(srv, lis, srv.log, false)
 }
 
-func newTCPListener(b connBackend, lis net.Listener, log *slog.Logger) *TCPServer {
+func newTCPListener(b connBackend, lis net.Listener, log *slog.Logger, relay bool) *TCPServer {
 	return &TCPServer{
 		b:     b,
 		lis:   lis,
 		log:   log,
+		relay: relay,
 		conns: make(map[*tcpConn]struct{}),
 	}
 }
@@ -247,8 +249,8 @@ type observeReq struct {
 	// the forwarding pass may still answer it via the ring owner.
 	unknown bool
 
-	// raw is the encoded observe payload, captured only on pipelined
-	// (relaying) connections: the backend forwards these bytes to the
+	// raw is the encoded observe payload, captured only on a relay
+	// listener's connections: the backend forwards these bytes to the
 	// owning replica with just the request id rewritten, never decoding
 	// the observation. When raw is set, m carries only the relay metadata
 	// (ID, Flags, Session — the session aliases raw); m.Obs is stale.
@@ -288,33 +290,23 @@ func (c *tcpConn) run() {
 	defer c.t.unregister(c)
 	defer c.conn.Close()
 
-	// A backend that can dispatch batches asynchronously gets the
-	// pipelined worker; everything else keeps the serial one. The mode is
-	// fixed per connection — the reader captures raw payloads only when a
-	// relaying backend will forward them.
-	bs, pipelined := c.t.b.(batchStarter)
-
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if pipelined {
-			c.respondPipelined(bs)
-		} else {
-			c.respond()
-		}
+		c.dispatch()
 	}()
-	c.read(pipelined)
+	c.read()
 	close(c.reqs) // reader is done; let the worker drain and exit
 	<-done
 }
 
 // read decodes frames until the stream ends. Any protocol error (bad
 // magic, truncated message, unexpected frame type) drops the connection
-// — framing is byte-exact, so there is no way to resynchronise. With
-// raw set (a relaying backend), observe payloads are copied verbatim
-// instead of decoded: the relay needs only the id and session, which
-// ObserveMeta reads at fixed offsets.
-func (c *tcpConn) read(raw bool) {
+// — framing is byte-exact, so there is no way to resynchronise. On a
+// relay listener, observe payloads are copied verbatim instead of
+// decoded: the relay needs only the id and session, which ObserveMeta
+// reads at fixed offsets.
+func (c *tcpConn) read() {
 	r := wire.NewReader(c.conn)
 	for {
 		typ, payload, err := r.Next()
@@ -327,7 +319,7 @@ func (c *tcpConn) read(raw bool) {
 		switch typ {
 		case wire.MsgObserve:
 			req.ctrl = false
-			if raw {
+			if c.t.relay {
 				// The reader's payload buffer is reused next frame; the
 				// request owns a copy, and the decoded session aliases it.
 				req.raw = append(req.raw[:0], payload...)
@@ -354,23 +346,85 @@ func (c *tcpConn) read(raw bool) {
 	}
 }
 
-// respond is the connection's batching worker: it blocks for one request,
-// coalesces everything else already queued into the same drain, decides
-// runs of observes in one fan-out each, and writes all responses under
-// one flush. Control frames are ordering barriers within the drain: a
-// create queued before an observe is applied before that observe
-// decides, so "create session, start deciding" works over one
-// connection without a round trip between the two.
-func (c *tcpConn) respond() {
-	bw := bufio.NewWriterSize(c.conn, 64<<10)
-	var queue []*observeReq
-	var scratch []byte
+// flight is one dispatched unit of the worker: a run of requests whose
+// answers land when done closes. Control frames ride as single-request
+// flights with done already closed (they execute synchronously at their
+// barrier), so the reply writer emits everything in dispatch order
+// without telling the two kinds apart. A drain's last flight also
+// carries the drain's whole queue, which the writer hands back for reuse
+// once that flight is answered.
+type flight struct {
+	queue []*observeReq
+	done  <-chan struct{}
+	drain []*observeReq
+}
+
+// dispatch is the connection's batching worker: it blocks for one
+// request, coalesces everything else already queued into the same
+// drain, starts each maximal run of observes as one batch, and moves on
+// to the next drain instead of waiting for the answers — up to
+// pipelineDepth batches overlap, so a slow lane (one stalled replica
+// behind a router) does not gate frames bound elsewhere. A separate
+// writer goroutine answers the batches strictly in dispatch order.
+//
+// Control frames are ordering barriers within the drain: every
+// outstanding batch completes before the control executes, so a create
+// queued before an observe is applied before that observe decides, and
+// "create session, start deciding" works over one connection without a
+// round trip between the two.
+func (c *tcpConn) dispatch() {
+	flights := make(chan flight, pipelineDepth)
+	// free recycles drain queues; a queue is back once the writer has
+	// answered the drain's last flight. At most pipelineDepth+2 drains
+	// exist at once (the queued flights, the one the writer holds, the one
+	// being filled), so a buffer that size never drops a queue.
+	free := make(chan []*observeReq, pipelineDepth+2)
+	wfail := make(chan struct{}) // closed by the writer when the conn's write half dies
+	wdone := make(chan struct{})
+	go func() {
+		defer close(wdone)
+		c.writeReplies(flights, free, wfail)
+	}()
+
+	// outstanding tracks dispatched flights whose done has not been seen
+	// closed yet; the control barrier waits them out. Bounded: the
+	// flights channel applies backpressure at pipelineDepth, and answered
+	// entries are pruned each drain.
+	var outstanding []<-chan struct{}
+	failed := false
+
+	send := func(f flight) {
+		if !failed {
+			select {
+			case flights <- f:
+				outstanding = append(outstanding, f.done)
+				return
+			case <-wfail:
+				failed = true
+			}
+		}
+		// The writer is gone; the backend still owns the requests until
+		// done closes, then they pool here.
+		<-f.done
+		for _, r := range f.queue {
+			putObserveReq(r)
+		}
+	}
+
 	for {
 		req, ok := <-c.reqs
 		if !ok {
+			close(flights)
+			<-wdone
 			return
 		}
-		queue = append(queue[:0], req)
+		var queue []*observeReq
+		select {
+		case queue = <-free:
+		default:
+			queue = make([]*observeReq, 0, 16)
+		}
+		queue = append(queue, req)
 	coalesce:
 		for len(queue) < maxDecideBatch {
 			select {
@@ -384,27 +438,80 @@ func (c *tcpConn) respond() {
 			}
 		}
 
-		// Handle the drain strictly in arrival order: each maximal run of
-		// observes decides as one fan-out, and each control frame executes
-		// at its position between runs (so a create queued before an
-		// observe is visible to that observe's decide).
-		for i := 0; i < len(queue); {
-			if r := queue[i]; r.ctrl {
-				r.ctrlStatus, r.ctrlBody = c.t.b.control(r.cm.Op, string(r.cm.Session), r.cm.Body)
-				i++
-				continue
+		n := 0
+	prune:
+		for ; n < len(outstanding); n++ {
+			select {
+			case <-outstanding[n]:
+			default:
+				break prune
 			}
-			j := i
-			for j < len(queue) && !queue[j].ctrl {
-				j++
+		}
+		outstanding = append(outstanding[:0], outstanding[n:]...)
+		if !failed {
+			select {
+			case <-wfail:
+				failed = true
+			default:
 			}
-			c.t.b.decideBatch(queue[i:j])
-			i = j
 		}
 
-		writeErr := false
-		epoch := c.t.b.memberEpoch()
-		for _, r := range queue {
+		// Dispatch the drain in arrival order: each maximal observe run
+		// is one flight, each control frame a barrier between runs.
+		for i := 0; i < len(queue); {
+			j := i + 1
+			f := flight{queue: queue[i:j], done: answered}
+			if r := queue[i]; r.ctrl {
+				for _, d := range outstanding {
+					<-d
+				}
+				outstanding = outstanding[:0]
+				if !failed {
+					r.ctrlStatus, r.ctrlBody = callControl(c.t.b, c.t.log, r.cm.Op, string(r.cm.Session), r.cm.Body)
+				}
+			} else {
+				for j < len(queue) && !queue[j].ctrl {
+					j++
+				}
+				f.queue = queue[i:j]
+				if !failed {
+					f.done = c.t.b.startBatch(f.queue)
+				}
+			}
+			if j == len(queue) {
+				f.drain = queue
+			}
+			send(f)
+			i = j
+		}
+	}
+}
+
+// writeReplies is the worker's write half: it waits each flight out in
+// dispatch order and answers it. Replies accumulate while a completed
+// flight is immediately next, and flush when the pipeline has nothing
+// ready — so a caller blocked on the oldest batch is never left waiting
+// behind an unflushed buffer. Decide replies carry 0 in the wire
+// format's member-epoch field.
+func (c *tcpConn) writeReplies(flights <-chan flight, free chan<- []*observeReq, wfail chan struct{}) {
+	bw := bufio.NewWriterSize(c.conn, 64<<10)
+	var scratch []byte
+	failed := false
+	fail := func() {
+		if !failed {
+			failed = true
+			// Close so the reader unblocks; the dispatcher sees wfail and
+			// stops dispatching.
+			c.conn.Close()
+			close(wfail)
+		}
+	}
+	writeFlight := func(f flight) {
+		<-f.done
+		for _, r := range f.queue {
+			if failed {
+				break
+			}
 			var err error
 			if r.ctrl {
 				scratch, err = wire.AppendControlReply(scratch[:0], r.cm.ID, r.ctrlStatus, r.ctrlBody)
@@ -422,239 +529,40 @@ func (c *tcpConn) respond() {
 				if len(r.errMsg) > maxWireErrLen {
 					r.errMsg = r.errMsg[:maxWireErrLen]
 				}
-				scratch, err = wire.AppendDecide(scratch[:0], r.m.ID, epoch, r.oppIdx, r.freqMHz, r.errMsg)
+				scratch, err = wire.AppendDecide(scratch[:0], r.m.ID, 0, r.oppIdx, r.freqMHz, r.errMsg)
+			}
+			if err == nil {
+				_, err = bw.Write(scratch)
 			}
 			if err != nil {
-				writeErr = true // cannot answer → the connection must die
-			} else if !writeErr {
-				if _, werr := bw.Write(scratch); werr != nil {
-					writeErr = true
-				}
-			}
-			putObserveReq(r)
-		}
-		if !writeErr {
-			writeErr = bw.Flush() != nil
-		}
-		if writeErr {
-			// The write half is gone. Close the connection so the reader
-			// unblocks, then drain its queue so it never blocks sending.
-			c.conn.Close()
-			for r := range c.reqs {
-				putObserveReq(r)
-			}
-			return
-		}
-	}
-}
-
-// flight is one dispatched unit of the pipelined worker: a run of
-// requests whose answers land when done closes. Control frames ride as
-// single-request flights with an already-closed done (they execute
-// synchronously at their barrier), so the reply writer emits everything
-// in dispatch order without telling the two kinds apart.
-type flight struct {
-	queue []*observeReq
-	done  <-chan struct{}
-}
-
-// respondPipelined is the pipelined twin of respond: it coalesces
-// arrivals exactly the same way, but dispatches each observe run
-// through startBatch and moves on to the next drain instead of blocking
-// for the answers — up to pipelineDepth dispatched batches overlap, so
-// a slow lane (one stalled replica behind a router) no longer gates
-// frames bound elsewhere. A separate writer goroutine emits replies strictly
-// in dispatch order, which equals arrival order: the client-visible
-// stream is the serial worker's, byte for byte.
-//
-// Control frames keep their barrier semantics: every outstanding flight
-// completes before the control executes, and its reply takes its place
-// in the dispatch order.
-func (c *tcpConn) respondPipelined(bs batchStarter) {
-	flights := make(chan flight, pipelineDepth)
-	wfail := make(chan struct{}) // closed by the writer when the conn's write half dies
-	wdone := make(chan struct{})
-	go func() {
-		defer close(wdone)
-		c.writeReplies(flights, wfail)
-	}()
-
-	ctrlDone := make(chan struct{})
-	close(ctrlDone)
-
-	// outstanding tracks dispatched flights whose done has not been seen
-	// closed yet; the control barrier waits them out. Bounded: the
-	// flights channel applies backpressure at pipelineDepth, and completed
-	// entries are pruned each drain.
-	var outstanding []<-chan struct{}
-	failed := false
-
-	dispatch := func(f flight) {
-		if failed {
-			// The writer is gone; the backend still owns the requests
-			// until done closes, then they pool here.
-			<-f.done
-			for _, r := range f.queue {
-				putObserveReq(r)
-			}
-			return
-		}
-		select {
-		case flights <- f:
-			outstanding = append(outstanding, f.done)
-		case <-wfail:
-			failed = true
-			<-f.done
-			for _, r := range f.queue {
-				putObserveReq(r)
-			}
-		}
-	}
-
-	for {
-		req, ok := <-c.reqs
-		if !ok {
-			close(flights)
-			<-wdone
-			return
-		}
-		// Fresh slice per drain: its sub-slices fly as flights that
-		// outlive this loop iteration.
-		queue := make([]*observeReq, 0, 16)
-		queue = append(queue, req)
-	coalesce:
-		for len(queue) < maxDecideBatch {
-			select {
-			case more, ok := <-c.reqs:
-				if !ok {
-					break coalesce
-				}
-				queue = append(queue, more)
-			default:
-				break coalesce
-			}
-		}
-
-		for len(outstanding) > 0 {
-			select {
-			case <-outstanding[0]:
-				outstanding = outstanding[1:]
-				continue
-			default:
-			}
-			break
-		}
-		if !failed {
-			select {
-			case <-wfail:
-				failed = true
-			default:
-			}
-		}
-
-		// Dispatch the drain in arrival order: each maximal observe run
-		// is one flight, each control frame a barrier between runs.
-		for i := 0; i < len(queue); {
-			if r := queue[i]; r.ctrl {
-				for _, d := range outstanding {
-					<-d
-				}
-				outstanding = outstanding[:0]
-				if failed {
-					putObserveReq(r)
-				} else {
-					r.ctrlStatus, r.ctrlBody = c.t.b.control(r.cm.Op, string(r.cm.Session), r.cm.Body)
-					dispatch(flight{queue: queue[i : i+1], done: ctrlDone})
-				}
-				i++
-				continue
-			}
-			j := i
-			for j < len(queue) && !queue[j].ctrl {
-				j++
-			}
-			if failed {
-				for _, r := range queue[i:j] {
-					putObserveReq(r)
-				}
-			} else {
-				run := queue[i:j]
-				dispatch(flight{queue: run, done: bs.startBatch(run)})
-			}
-			i = j
-		}
-	}
-}
-
-// writeReplies is the pipelined worker's write half: it waits each
-// flight out in dispatch order and answers it. The flush policy matches
-// the serial worker's one-flush-per-drain instinct: replies accumulate
-// while a completed flight is immediately next, and flush when the
-// pipeline has nothing ready — so a caller blocked on the oldest batch
-// is never left waiting behind an unflushed buffer.
-func (c *tcpConn) writeReplies(flights <-chan flight, wfail chan struct{}) {
-	bw := bufio.NewWriterSize(c.conn, 64<<10)
-	var scratch []byte
-	failed := false
-	fail := func() {
-		if !failed {
-			failed = true
-			// Close so the reader unblocks; the dispatcher sees wfail and
-			// stops dispatching.
-			c.conn.Close()
-			close(wfail)
-		}
-	}
-	writeFlight := func(f flight) {
-		<-f.done
-		if !failed {
-			epoch := c.t.b.memberEpoch()
-			for _, r := range f.queue {
-				var err error
-				if r.ctrl {
-					scratch, err = wire.AppendControlReply(scratch[:0], r.cm.ID, r.ctrlStatus, r.ctrlBody)
-					if err != nil {
-						scratch, err = wire.AppendControlReply(scratch[:0], r.cm.ID,
-							500, errorBody(errf("control response exceeds the frame bound")))
-					}
-				} else {
-					if len(r.errMsg) > maxWireErrLen {
-						r.errMsg = r.errMsg[:maxWireErrLen]
-					}
-					scratch, err = wire.AppendDecide(scratch[:0], r.m.ID, epoch, r.oppIdx, r.freqMHz, r.errMsg)
-				}
-				if err != nil {
-					fail() // cannot answer → the connection must die
-				} else if !failed {
-					if _, werr := bw.Write(scratch); werr != nil {
-						fail()
-					}
-				}
+				fail() // cannot answer → the connection must die
 			}
 		}
 		for _, r := range f.queue {
 			putObserveReq(r)
 		}
+		if f.drain != nil {
+			clear(f.drain)
+			select {
+			case free <- f.drain[:0]:
+			default:
+			}
+		}
+	}
+	flush := func() {
+		if !failed && bw.Flush() != nil {
+			fail()
+		}
 	}
 
-	for {
-		f, ok := <-flights
-		if !ok {
-			if !failed && bw.Flush() != nil {
-				fail()
-			}
-			return
-		}
+	for f := range flights {
 		writeFlight(f)
 	next:
 		for !failed {
 			select {
-			case f2, ok2 := <-flights:
-				if !ok2 {
-					if !failed && bw.Flush() != nil {
-						fail()
-					}
-					return
+			case f2, ok := <-flights:
+				if !ok {
+					break next
 				}
 				select {
 				case <-f2.done:
@@ -662,26 +570,24 @@ func (c *tcpConn) writeReplies(flights <-chan flight, wfail chan struct{}) {
 				default:
 					// The next flight is still in the air: flush what the
 					// oldest callers are waiting on before blocking on it.
-					if bw.Flush() != nil {
-						fail()
-					}
+					flush()
 				}
 				writeFlight(f2)
 			default:
 				break next
 			}
 		}
-		if !failed && bw.Flush() != nil {
-			fail()
-		}
+		flush()
 	}
 }
 
-// decideBatch implements connBackend for the Server: every request in
+// startBatch implements connBackend for the Server: every request in
 // the batch — a binary drain or a JSON /v1/decide body — is answered
-// through fanOut and the session lock. Requests for sessions this replica does not hold are
-// then offered to the forwarding pass — with a fleet table installed,
-// the ring owner answers them on behalf of a stale direct client.
+// through fanOut and the session lock before it returns, so the channel
+// it returns is answered, already closed. Requests for sessions this
+// replica does not hold are then offered to the forwarding pass — with a
+// fleet table installed, the ring owner answers them on behalf of a
+// stale direct client.
 //
 // Tracing rides the same pass. A request that arrived with a wire trace
 // id (a router or client sampled it upstream) always records a "decide"
@@ -690,7 +596,7 @@ func (c *tcpConn) writeReplies(flights <-chan flight, wfail chan struct{}) {
 // a slow "decide.batch" span plus a structured warning when the batch
 // crosses the threshold — that is what catches the outlier the head
 // sample almost always misses.
-func (s *Server) decideBatch(batch []*observeReq) {
+func (s *Server) startBatch(batch []*observeReq) <-chan struct{} {
 	tr := s.tracer
 	batchTrace, _ := tr.Sample()
 	timed := tr.Enabled()
@@ -722,7 +628,7 @@ func (s *Server) decideBatch(batch []*observeReq) {
 	})
 	s.forwardMisrouted(batch, batchTrace)
 	if !timed {
-		return
+		return answered
 	}
 	dur := time.Since(start)
 	if tr.Slow(dur) {
@@ -753,10 +659,11 @@ func (s *Server) decideBatch(batch []*observeReq) {
 			Batch:  len(batch),
 		})
 	}
+	return answered
 }
 
 // decideReq answers one binary request in place — the per-request body
-// decideBatch fans out, shared by its traced and untraced arms.
+// startBatch fans out, shared by its traced and untraced arms.
 func (s *Server) decideReq(r *observeReq) {
 	sess := s.sessionFor(r.m.Session)
 	if sess == nil {

@@ -18,6 +18,7 @@ import (
 	"qgov/internal/serve"
 	"qgov/internal/serve/client"
 	"qgov/internal/sim"
+	"qgov/internal/wire"
 	"qgov/internal/workload"
 )
 
@@ -208,6 +209,79 @@ func TestTCPGracefulShutdownDrainsInFlight(t *testing.T) {
 		if _, err := os.Stat(dir + "/" + id + ".state"); err != nil {
 			t.Errorf("final checkpoint for %s missing: %v", id, err)
 		}
+	}
+}
+
+// A client that writes a stream of observes and then resets its
+// connection without reading a reply costs the server only that
+// connection: other connections keep deciding, and Close still returns
+// promptly. Both tiers run the one connection worker; the table pins
+// the flat server and a router over two replicas.
+func TestTCPVanishingPeer(t *testing.T) {
+	tiers := []struct {
+		name  string
+		start func(t *testing.T) *serve.TCPServer
+	}{
+		{"flat", func(t *testing.T) *serve.TCPServer {
+			reps, _ := newFleet(t, 1, serve.Options{})
+			return reps[0].tcp
+		}},
+		{"router", func(t *testing.T) *serve.TCPServer {
+			return startRoutedFleet(t, 2, serve.Options{}, serve.RouterOptions{}).tcp
+		}},
+	}
+	for _, tier := range tiers {
+		t.Run(tier.name, func(t *testing.T) {
+			ts := tier.start(t)
+			good, err := client.Dial(ts.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer good.Close()
+			ids := make([]string, 8)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("vanish-%d", i)
+				body := fmt.Sprintf(`{"id":%q,"governor":"ondemand"}`, ids[i])
+				if st, resp, err := good.CreateSession([]byte(body)); err != nil || st != http.StatusCreated {
+					t.Fatalf("create %s: status %d err %v (%s)", ids[i], st, err, resp)
+				}
+			}
+
+			obs := steadyObs()
+			var frames []byte
+			for i := 0; i < 2000; i++ {
+				if frames, err = wire.AppendObserve(frames, uint32(i+1), ids[i%len(ids)], &obs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			peer, err := net.Dial("tcp", ts.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := peer.Write(frames); err != nil {
+				t.Fatal(err)
+			}
+			// Linger 0: Close resets the connection instead of shutting
+			// it down in order.
+			if err := peer.(*net.TCPConn).SetLinger(0); err != nil {
+				t.Fatal(err)
+			}
+			peer.Close()
+
+			for i := 0; i < 50; i++ {
+				if d, err := good.Decide(ids[i%len(ids)], obs); err != nil || d.Err != "" {
+					t.Fatalf("decide %d after the peer vanished: %+v err %v", i, d, err)
+				}
+			}
+
+			closed := make(chan error, 1)
+			go func() { closed <- ts.Close() }()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close did not return after a peer vanished mid-stream")
+			}
+		})
 	}
 }
 

@@ -157,8 +157,8 @@ const (
 // Members is the JSON body of OpMembers frames — the one membership
 // schema both sides of the protocol share. The router stamps Epoch on
 // every ring change (monotonically increasing, starting at 1); replicas
-// echo their installed epoch in every MsgDecide so a direct client can
-// detect a stale table from the data plane alone and refetch.
+// report their installed epoch in their health document, which the
+// router's prober reads to re-push the table to a restarted replica.
 type Members struct {
 	// Epoch is the membership generation; 0 means "no fleet table".
 	Epoch uint32 `json:"epoch"`
@@ -208,8 +208,8 @@ type Observe struct {
 // Decide is the decoded MsgDecide payload. OPPIdx is -1 and Err non-empty
 // when the request failed (unknown session, rejected observation);
 // requests fail independently, exactly like entries of the JSON batch.
-// MemberEpoch echoes the answering server's installed membership epoch
-// (0 on a flat server with no fleet table).
+// MemberEpoch is a reserved field: servers send 0, and it stays only to
+// keep the frame layout.
 type Decide struct {
 	ID          uint32
 	MemberEpoch uint32
@@ -335,8 +335,8 @@ func AppendObserveTraced[S string | []byte](dst []byte, id uint32, flags byte, t
 }
 
 // AppendDecide appends one complete MsgDecide frame to dst. memberEpoch
-// is the answering server's installed membership epoch (0 when it has no
-// fleet table).
+// fills the reserved field Decide.MemberEpoch; servers pass 0, and the
+// field stays only to keep the frame layout.
 func AppendDecide(dst []byte, id, memberEpoch uint32, oppIdx, freqMHz int32, errMsg string) ([]byte, error) {
 	if len(errMsg) > math.MaxUint16 {
 		return dst, fmt.Errorf("%w: error message of %d bytes", ErrTooLong, len(errMsg))
