@@ -65,9 +65,7 @@
 //
 //  1. Stop every rtmd gracefully (SIGINT/SIGTERM), the replicas too,
 //     so each replica's final sweep checkpoints every session it
-//     holds. A replica left running does install the new router's
-//     membership table, but the sessions it holds stay in its memory
-//     under the old placement.
+//     holds.
 //  2. Start the replicas with one shared -registry-dir (or
 //     -checkpoint-dir), each with its own -ring-self and all with the
 //     same new -ring-members list.

@@ -96,13 +96,7 @@
 //	internal/serve/client the multiplexed Go client for the binary
 //	                     transport — decisions and control plane —
 //	                     used by the router, benchmarks, and the
-//	                     equivalence tests; its ring-aware Fleet
-//	                     fetches the membership table from the router
-//	                     and sends decide batches directly to the
-//	                     owning replicas (a failed direct send falls
-//	                     back to the router and refetches the table;
-//	                     misrouted decides are forwarded replica-side),
-//	                     taking the router out of the data path
+//	                     equivalence tests
 //	internal/loadgen     the seeded churn-schedule generator
 //	                     (heterogeneous clients, burst arrivals,
 //	                     session lifecycles, delete storms), its
@@ -110,12 +104,12 @@
 //	                     record/replay: the serve churn suites and the
 //	                     benchmark's churn workload are built on it
 //	internal/trace       sampled decide-path tracing: spans (route,
-//	                     relay, decide, forward) in a fixed lock-free
+//	                     relay, decide) in a fixed lock-free
 //	                     ring, probabilistic head sampling plus tail
 //	                     capture of slow batches, trace ids propagated
 //	                     through the wire protocol so one routed
-//	                     decide stitches router→replica(→forward)
-//	                     spans under a single id at GET /v1/trace
+//	                     decide stitches router→replica spans under
+//	                     a single id at GET /v1/trace
 //	internal/promlint    the Prometheus text-exposition linter behind
 //	                     cmd/promlint and the scrape-hygiene tests:
 //	                     HELP/TYPE pairing, label escaping, duplicate

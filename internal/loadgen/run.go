@@ -15,9 +15,9 @@ import (
 )
 
 // Target is a serving surface the runner can drive. *client.Client (a
-// flat server or a router over the binary transport) and *client.Fleet
-// (ring-aware direct replica access) both satisfy it, and Local provides
-// the in-process oracle the equivalence tests compare against.
+// flat server or a router over the binary transport) satisfies it, and
+// Local provides the in-process oracle the equivalence tests compare
+// against.
 type Target interface {
 	CreateSession(body []byte) (int, []byte, error)
 	DeleteSession(id string) (int, []byte, error)

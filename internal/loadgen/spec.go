@@ -7,7 +7,7 @@
 // machine at any GOMAXPROCS, so a churn run is an experiment, not an
 // anecdote. Schedules can be recorded to JSONL and replayed
 // byte-identically (trace.go), and executed against any serving target —
-// a flat server, the router, the direct fleet client, or an in-process
+// a flat server, the router, or an in-process
 // oracle (run.go). The serve package's churn suites drive schedules
 // through Run and check them against Local; the benchmark (bench/)
 // builds its churn workload from the same generator.

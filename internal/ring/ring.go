@@ -59,11 +59,6 @@ func New(vnodes int, members ...string) *Ring {
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// VirtualNodes returns the ring's virtual-node count. A client building
-// its own ring from a membership table must use the same count to
-// compute the same placement the router does.
-func (r *Ring) VirtualNodes() int { return r.vnodes }
-
 // Members returns the member set, sorted. The slice is a copy.
 func (r *Ring) Members() []string {
 	return append([]string(nil), r.members...)

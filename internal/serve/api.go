@@ -507,25 +507,15 @@ func (s *Server) listPage(q controlQuery) sessionPage {
 }
 
 // healthJSON is the /healthz body on both control planes: liveness plus
-// O(1) counters. MemberEpoch is the replica's installed membership epoch
-// — the router's prober compares it against its own and re-pushes the
-// table to a replica that restarted (and so came back with epoch 0).
+// O(1) counters.
 type healthJSON struct {
-	Status      string `json:"status"`
-	Sessions    int    `json:"sessions"`
-	Decisions   int64  `json:"decisions"`
-	MemberEpoch uint32 `json:"member_epoch,omitempty"`
-	Forwarded   int64  `json:"forwarded_decisions,omitempty"`
+	Status    string `json:"status"`
+	Sessions  int    `json:"sessions"`
+	Decisions int64  `json:"decisions"`
 }
 
 func (s *Server) health() healthJSON {
-	return healthJSON{
-		Status:      "ok",
-		Sessions:    s.sessions.Len(),
-		Decisions:   s.decisions.Load(),
-		MemberEpoch: s.membersTable().Epoch,
-		Forwarded:   s.forwarded.Load(),
-	}
+	return healthJSON{Status: "ok", Sessions: s.sessions.Len(), Decisions: s.decisions.Load()}
 }
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }

@@ -133,30 +133,6 @@ func TestChurnRouterMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestChurnFleetMatchesOracle repeats the oracle equivalence through the
-// ring-aware direct fleet client (per-replica connections, client-side
-// ownership routing).
-func TestChurnFleetMatchesOracle(t *testing.T) {
-	want := oracleReport(t)
-
-	_, addrs := newFleet(t, 3, serve.Options{})
-	rt, err := serve.NewRouter(addrs, serve.RouterOptions{ProbeEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	fl, err := client.DialFleet(startRouterTCP(t, rt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-
-	got := runChurn(t, fl)
-	if got.Checksum != want.Checksum {
-		t.Fatalf("fleet checksum %x != oracle %x", got.Checksum, want.Checksum)
-	}
-}
-
 // TestChurnRecycledIDRace hammers one session id from a decider while a
 // churner create/deletes it as fast as it can. Every decide must either
 // succeed against whatever generation is live (real decision, real

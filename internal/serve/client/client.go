@@ -248,7 +248,7 @@ func (c *Client) CloseWrite() error {
 // operating-point decision.
 func (c *Client) Decide(session string, obs governor.Observation) (Decision, error) {
 	var out [1]Decision
-	if err := decideBatch(c, []string{session}, []governor.Observation{obs}, out[:], 0, nil); err != nil {
+	if err := decideBatch(c, []string{session}, []governor.Observation{obs}, out[:], nil); err != nil {
 		return Decision{}, err
 	}
 	return out[0], nil
@@ -267,7 +267,7 @@ func (c *Client) DecideBatch(sessions []string, obs []governor.Observation, out 
 	if len(sessions) == 0 {
 		return nil
 	}
-	return decideBatch(c, sessions, obs, out, 0, nil)
+	return decideBatch(c, sessions, obs, out, nil)
 }
 
 // DecideBatchTraced is DecideBatch with per-request trace ids: a
@@ -282,25 +282,7 @@ func (c *Client) DecideBatchTraced(sessions []string, obs []governor.Observation
 	if len(sessions) == 0 {
 		return nil
 	}
-	return decideBatch(c, sessions, obs, out, 0, traces)
-}
-
-// ForwardBatch relays observes that arrived at the wrong replica to the
-// ring owner on behalf of a stale direct client. Each frame carries
-// wire.FlagForwarded, so the receiver answers locally even if its own
-// table disagrees — bounding transient membership disagreement to one
-// extra hop instead of a forwarding loop. traces carries per-request
-// trace ids (nil or zero entries: untraced), so a traced decide that
-// misroutes keeps its trace across the forward hop.
-func (c *Client) ForwardBatch(sessions [][]byte, obs []governor.Observation, out []Decision, traces []uint64) error {
-	if len(sessions) != len(obs) || len(sessions) != len(out) || (traces != nil && len(traces) != len(sessions)) {
-		return fmt.Errorf("client: mismatched batch slices (%d sessions, %d observations, %d outputs, %d traces)",
-			len(sessions), len(obs), len(out), len(traces))
-	}
-	if len(sessions) == 0 {
-		return nil
-	}
-	return decideBatch(c, sessions, obs, out, wire.FlagForwarded, traces)
+	return decideBatch(c, sessions, obs, out, traces)
 }
 
 // reserve claims a batch handle on this connection and publishes bc
@@ -336,7 +318,7 @@ func (cn *conn) unreserve(handle uint32) {
 	cn.mu.Unlock()
 }
 
-func decideBatch[S string | []byte](c *Client, sessions []S, obs []governor.Observation, out []Decision, flags byte, traces []uint64) error {
+func decideBatch(c *Client, sessions []string, obs []governor.Observation, out []Decision, traces []uint64) error {
 	n := len(sessions)
 	if n > MaxBatch {
 		return fmt.Errorf("client: batch of %d exceeds the %d-request limit", n, MaxBatch)
@@ -361,7 +343,7 @@ func decideBatch[S string | []byte](c *Client, sessions []S, obs []governor.Obse
 		if traces != nil {
 			trace = traces[i]
 		}
-		cn.enc, err = wire.AppendObserveTraced(cn.enc[:0], base|uint32(i), flags, trace, sessions[i], &obs[i])
+		cn.enc, err = wire.AppendObserveTraced(cn.enc[:0], base|uint32(i), 0, trace, sessions[i], &obs[i])
 		if err == nil {
 			_, err = cn.bw.Write(cn.enc)
 		}
@@ -613,13 +595,6 @@ func listQuery(after string, limit int) []byte {
 // Health returns the server's /healthz JSON (O(1) on the server).
 func (c *Client) Health() (int, []byte, error) {
 	return c.Control(wire.OpHealth, "", nil)
-}
-
-// Members fetches the server's membership table (a wire.Members JSON
-// document; epoch 0 with no members from a flat server outside any
-// fleet).
-func (c *Client) Members() (int, []byte, error) {
-	return c.Control(wire.OpMembers, "", nil)
 }
 
 // TraceSpans fetches recent decide-path spans from the server's trace

@@ -74,16 +74,6 @@ func (s *Server) control(op byte, session string, body []byte) (status uint16, r
 	case wire.OpTrace:
 		return s.traceSpans(body)
 
-	case wire.OpMembers:
-		if len(body) == 0 {
-			return http.StatusOK, jsonBody(s.membersTable())
-		}
-		var msg wire.Members
-		if err := json.Unmarshal(body, &msg); err != nil {
-			return http.StatusBadRequest, errorBody(err)
-		}
-		return s.installMembers(msg)
-
 	default:
 		return http.StatusBadRequest, errorBody(errf("unknown control op 0x%02x", op))
 	}

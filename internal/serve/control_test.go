@@ -3,6 +3,7 @@ package serve_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io/fs"
 	"net"
 	"net/http"
@@ -113,8 +114,26 @@ func TestTCPControlPlaneLifecycle(t *testing.T) {
 	if st, _, err = cl.SessionInfo("bc0"); err != nil || st != http.StatusNotFound {
 		t.Fatalf("info after delete: status %d err %v", st, err)
 	}
-	if st, _, err = cl.Control(0x7f, "", nil); err != nil || st != http.StatusBadRequest {
-		t.Fatalf("unknown op: status %d err %v", st, err)
+
+	// Unknown ops answer 400 on both tiers — 0x08 among them, a number no
+	// op holds — and the connection keeps deciding after them.
+	rf := startRoutedFleet(t, 1, serve.Options{}, serve.RouterOptions{ProbeEvery: -1})
+	for _, tier := range []struct {
+		name string
+		cl   *client.Client
+	}{{"flat", cl}, {"router", rf.cl}} {
+		id := "uo-" + tier.name
+		if st, body, err := tier.cl.CreateSession([]byte(fmt.Sprintf(`{"id":%q,"governor":"ondemand"}`, id))); err != nil || st != http.StatusCreated {
+			t.Fatalf("%s: create: status %d body %s err %v", tier.name, st, body, err)
+		}
+		for _, op := range []byte{0x08, 0x7f} {
+			if st, _, err := tier.cl.Control(op, "", nil); err != nil || st != http.StatusBadRequest {
+				t.Fatalf("%s: unknown op %#02x: status %d err %v", tier.name, op, st, err)
+			}
+		}
+		if d, err := tier.cl.Decide(id, steadyObs()); err != nil || d.Err != "" {
+			t.Fatalf("%s: decide after unknown ops: %+v err %v", tier.name, d, err)
+		}
 	}
 }
 

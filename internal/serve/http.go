@@ -71,7 +71,6 @@ func newHTTPHandler(b connBackend, log *slog.Logger) http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}", ctl(wire.OpInfo))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", ctl(wire.OpDelete))
 	mux.HandleFunc("POST /v1/sessions/{id}/checkpoint", ctl(wire.OpCheckpoint))
-	mux.HandleFunc("GET /v1/members", ctl(wire.OpMembers))
 	mux.HandleFunc("GET /healthz", ctl(wire.OpHealth))
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		q := urlQuery(r)

@@ -136,7 +136,7 @@ func TestHTTPParityFlatVsRouter(t *testing.T) {
 		{want: 200, method: "GET", path: "/v1/sessions?after=p1"},
 		{want: 200, method: "GET", path: "/v1/sessions?limit=x"},
 		{want: 200, method: "GET", path: "/v1/metrics?format=prometheus", project: prometheus},
-		{want: 200, method: "GET", path: "/v1/members", project: statusOnly},
+		{want: 404, method: "GET", path: "/v1/members", project: statusOnly},
 		{want: 204, method: "DELETE", path: "/v1/sessions/p1"},
 		{want: 404, method: "GET", path: "/v1/sessions/p1"},
 	}

@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,14 +51,11 @@ import (
 //
 // The ring is built once, in NewRouter, and never changes: resharding
 // is a restart of the fleet over shared checkpoint storage (see the
-// rtmd package doc), not a live operation. NewRouter pushes the table
-// (a wire.Members document at routerEpoch) to every replica, so
-// replicas can forward decides that a direct client (client.Fleet) sent
-// to a member that does not own the session. A background prober
-// health-checks every member, redials dropped connections (a replica
-// restart does not poison its client forever), re-pushes the table to
-// replicas that restarted, and feeds per-member up/down status into
-// /healthz and the members table.
+// rtmd package doc), not a live operation. Replicas know nothing of the
+// ring: a decide for a session a replica does not hold fails there with
+// "unknown session", so every routed decide goes through the router. A
+// background prober health-checks every member and redials dropped
+// connections, so a replica restart does not poison its client forever.
 type Router struct {
 	opt    RouterOptions
 	log    *slog.Logger
@@ -73,11 +69,6 @@ type Router struct {
 	mu       sync.RWMutex
 	clients  map[string]*client.Client
 	closeErr error
-
-	// stmu guards status: the prober's per-member up/down view. Separate
-	// from mu so health reporting never contends with the decide path.
-	stmu   sync.Mutex
-	status map[string]memberStatus
 
 	nextID    atomic.Int64
 	decisions atomic.Int64
@@ -98,17 +89,6 @@ type Router struct {
 	closeOnce sync.Once
 }
 
-// memberStatus is the prober's last verdict on one member.
-type memberStatus struct {
-	up  bool
-	err string
-}
-
-// routerEpoch is the membership epoch of the router's table. The ring
-// never changes, so neither does the epoch; a replica reporting another
-// one (0 after a restart) gets the table re-pushed.
-const routerEpoch = 1
-
 // defaultProbeEvery is the replica health-check cadence when
 // RouterOptions.ProbeEvery is zero.
 const defaultProbeEvery = 2 * time.Second
@@ -127,9 +107,8 @@ type RouterOptions struct {
 	// selects ring.DefaultVirtualNodes.
 	VirtualNodes int
 	// ProbeEvery is the replica health-check cadence: every interval the
-	// router probes each member, redials the unreachable ones, and marks
-	// them up/down for /healthz and the members table. Zero selects
-	// defaultProbeEvery; negative disables probing.
+	// router probes each member and redials the unreachable ones. Zero
+	// selects defaultProbeEvery; negative disables probing.
 	ProbeEvery time.Duration
 	// Log receives operational and slow-request log records; nil
 	// discards them.
@@ -164,7 +143,6 @@ func NewRouter(replicas []string, opt RouterOptions) (*Router, error) {
 		tracer:  tr,
 		ring:    ring.New(opt.VirtualNodes),
 		clients: make(map[string]*client.Client, len(replicas)),
-		status:  make(map[string]memberStatus, len(replicas)),
 		done:    make(chan struct{}),
 	}
 	for _, addr := range replicas {
@@ -178,10 +156,6 @@ func NewRouter(replicas []string, opt RouterOptions) (*Router, error) {
 		}
 		rt.clients[addr] = cl
 		rt.ring.Add(addr)
-		rt.status[addr] = memberStatus{up: true}
-	}
-	for addr, cl := range rt.clients {
-		rt.pushTable(addr, cl)
 	}
 	every := opt.ProbeEvery
 	if every == 0 {
@@ -222,9 +196,6 @@ func (rt *Router) Close() error {
 	return rt.closeErr
 }
 
-// Replicas returns the member addresses, sorted.
-func (rt *Router) Replicas() []string { return rt.ring.Members() }
-
 // Owner returns the replica address that owns the session id.
 func (rt *Router) Owner(id string) (string, bool) { return rt.ring.Owner(id) }
 
@@ -233,53 +204,6 @@ func (rt *Router) client(addr string) *client.Client {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	return rt.clients[addr]
-}
-
-// setStatus records the prober's verdict on one member.
-func (rt *Router) setStatus(addr string, up bool, errMsg string) {
-	rt.stmu.Lock()
-	rt.status[addr] = memberStatus{up: up, err: errMsg}
-	rt.stmu.Unlock()
-}
-
-// downMembers returns the members the prober currently reports
-// unreachable, sorted.
-func (rt *Router) downMembers() []string {
-	rt.stmu.Lock()
-	defer rt.stmu.Unlock()
-	var down []string
-	for addr, st := range rt.status {
-		if !st.up {
-			down = append(down, addr)
-		}
-	}
-	sort.Strings(down)
-	return down
-}
-
-// membersInfo answers an OpMembers fetch (and GET /v1/members): the
-// current table plus the prober's down list, so a direct client routes
-// keys owned by a dead member via the router instead of dialing it.
-func (rt *Router) membersInfo() wire.Members {
-	return wire.Members{
-		Epoch:   routerEpoch,
-		VNodes:  rt.ring.VirtualNodes(),
-		Members: rt.ring.Members(),
-		Down:    rt.downMembers(),
-	}
-}
-
-// pushTable installs the membership table on one replica via OpMembers.
-// Failures are logged, not fatal: the prober re-pushes as soon as the
-// replica answers health checks again — a replica without the table
-// still serves its own sessions, it just cannot forward for others
-// until the push lands.
-func (rt *Router) pushTable(addr string, cl *client.Client) {
-	body := jsonBody(wire.Members{Epoch: routerEpoch, VNodes: rt.ring.VirtualNodes(), Members: rt.ring.Members(), Self: addr})
-	if status, resp, err := cl.Control(wire.OpMembers, "", body); err != nil || status != http.StatusOK {
-		rt.log.Warn("pushing membership failed",
-			"replica", addr, "status", status, "err", err, "body", string(resp))
-	}
 }
 
 // probeLoop health-checks the fleet every interval until Close.
@@ -298,41 +222,29 @@ func (rt *Router) probeLoop(every time.Duration) {
 }
 
 // probeOnce probes every member. A member whose client answers health
-// is up (and gets a table re-push if its installed epoch is not the
-// router's — a restarted replica comes back with epoch 0). A member
-// whose client is poisoned or gone is redialed: on success the fresh
-// connection replaces the dead one, so a replica restart heals without
-// a router restart; on failure the member is marked down for /healthz
-// and the members table.
+// is left alone. A member whose client is poisoned or gone is redialed:
+// on success the fresh connection replaces the dead one, so a replica
+// restart heals without a router restart; on failure the next probe
+// tries again (meanwhile /healthz names the member down).
 func (rt *Router) probeOnce() {
 	for _, addr := range rt.ring.Members() {
 		cl := rt.client(addr)
-		if st, body, err := cl.Health(); err == nil && st == http.StatusOK {
-			var h healthJSON
-			_ = json.Unmarshal(body, &h)
-			if h.MemberEpoch != routerEpoch {
-				rt.pushTable(addr, cl)
-			}
-			rt.setStatus(addr, true, "")
+		if st, _, err := cl.Health(); err == nil && st == http.StatusOK {
 			continue
 		}
 		// Poisoned or unresponsive: redial.
 		nc, err := rt.dialReplica(addr)
 		if err != nil {
-			rt.setStatus(addr, false, err.Error())
 			continue
 		}
 		if st, _, err := nc.Health(); err != nil || st != http.StatusOK {
 			nc.Close()
-			rt.setStatus(addr, false, fmt.Sprintf("health status %d err %v", st, err))
 			continue
 		}
-		rt.pushTable(addr, nc)
 		rt.mu.Lock()
 		rt.clients[addr] = nc
 		rt.mu.Unlock()
 		cl.Close()
-		rt.setStatus(addr, true, "")
 		rt.log.Info("reconnected to replica", "replica", addr)
 	}
 }
@@ -625,11 +537,6 @@ func (rt *Router) control(op byte, session string, body []byte) (uint16, []byte)
 		return rt.aggregateHealth()
 	case wire.OpTrace:
 		return rt.aggregateTrace(body)
-	case wire.OpMembers:
-		if len(body) > 0 {
-			return http.StatusBadRequest, errorBody(errf("the router is the membership authority; pushes go router→replica"))
-		}
-		return http.StatusOK, jsonBody(rt.membersInfo())
 	case wire.OpCreate:
 		id := session
 		if id == "" {
@@ -843,8 +750,7 @@ func (rt *Router) aggregateHealth() (uint16, []byte) {
 		"sessions":         sessions,
 		"replicas":         len(members),
 		"replicas_up":      up,
-		"epoch":            routerEpoch,
-		"decisions":        decisions, // fleet total, direct traffic included
+		"decisions":        decisions, // fleet total
 		"routed_decisions": rt.decisions.Load(),
 		"members":          detail,
 	}

@@ -19,7 +19,6 @@
 //	                                    or ?format=prometheus; ?top=K
 //	                                    adds the K busiest learners)
 //	GET    /v1/trace                    sampled decide-path spans
-//	GET    /v1/members                  installed membership table
 //	GET    /healthz                     liveness + counters
 //
 // A Router serves the same routes from the same mux (http.go): every
@@ -68,7 +67,6 @@ import (
 	"qgov/internal/qpage"
 	"qgov/internal/registry"
 	"qgov/internal/scenario"
-	"qgov/internal/serve/client"
 	"qgov/internal/sessionstore"
 	"qgov/internal/stats"
 	"qgov/internal/trace"
@@ -194,7 +192,6 @@ type Server struct {
 
 	nextID    atomic.Int64
 	decisions atomic.Int64
-	forwarded atomic.Int64 // decides relayed to their ring owner (fleet.go)
 
 	// latAgg is the server-wide decision-latency histogram, striped so
 	// the per-decide sample never contends on one lock. Sessions are
@@ -208,13 +205,6 @@ type Server struct {
 	// skip count is the I/O the dirty-flag fix saves each interval.
 	ckptWrites  atomic.Int64
 	ckptSkipped atomic.Int64
-
-	// Fleet membership (fleet.go): the table the router pushed, the ring
-	// built from it, and one peer client per forwarding target. fleetMu
-	// guards all three.
-	fleetMu sync.RWMutex
-	fleet   *fleetView
-	peers   map[string]*client.Client
 
 	done      chan struct{}
 	loopWG    sync.WaitGroup
@@ -299,7 +289,6 @@ func New(opt Options) *Server {
 		tracer:   tr,
 		sessions: store,
 		qpool:    qpage.NewPool(),
-		peers:    make(map[string]*client.Client),
 		done:     make(chan struct{}),
 	}
 	if ckpt != nil {
@@ -352,7 +341,6 @@ func (s *Server) Close() error {
 		close(s.done)
 		s.loopWG.Wait()
 		s.closed.Store(true)
-		s.closePeers()
 		if s.ckpt != nil {
 			n, e := s.CheckpointAll()
 			s.log.Info("final checkpoint", "sessions", n)

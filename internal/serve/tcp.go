@@ -245,9 +245,6 @@ type observeReq struct {
 	oppIdx  int32
 	freqMHz int32
 	errMsg  string
-	// unknown marks a request whose session this server does not hold —
-	// the forwarding pass may still answer it via the ring owner.
-	unknown bool
 
 	// raw is the encoded observe payload, captured only on a relay
 	// listener's connections: the backend forwards these bytes to the
@@ -269,7 +266,6 @@ var observePool = sync.Pool{New: func() any { return new(observeReq) }}
 // stop allocating in steady state.
 func putObserveReq(r *observeReq) {
 	r.errMsg = ""
-	r.unknown = false
 	r.ctrlBody = nil
 	r.raw = r.raw[:0]
 	observePool.Put(r)
@@ -584,10 +580,8 @@ func (c *tcpConn) writeReplies(flights <-chan flight, free chan<- []*observeReq,
 // startBatch implements connBackend for the Server: every request in
 // the batch — a binary drain or a JSON /v1/decide body — is answered
 // through fanOut and the session lock before it returns, so the channel
-// it returns is answered, already closed. Requests for sessions this
-// replica does not hold are then offered to the forwarding pass — with a
-// fleet table installed, the ring owner answers them on behalf of a
-// stale direct client.
+// it returns is answered, already closed. A request for a session this
+// server does not hold gets a per-entry "unknown session" error.
 //
 // Tracing rides the same pass. A request that arrived with a wire trace
 // id (a router or client sampled it upstream) always records a "decide"
@@ -616,17 +610,14 @@ func (s *Server) startBatch(batch []*observeReq) <-chan struct{} {
 		t0 := time.Now()
 		s.decideReq(r)
 		tr.Record(trace.Span{
-			Trace:     tid,
-			Stage:     "decide",
-			Origin:    s.originName(),
-			Session:   string(r.m.Session),
-			Start:     t0.UnixNano(),
-			DurUS:     float64(time.Since(t0)) / float64(time.Microsecond),
-			Forwarded: r.m.Flags&wire.FlagForwarded != 0,
-			Err:       r.errMsg,
+			Trace:   tid,
+			Stage:   "decide",
+			Session: string(r.m.Session),
+			Start:   t0.UnixNano(),
+			DurUS:   float64(time.Since(t0)) / float64(time.Microsecond),
+			Err:     r.errMsg,
 		})
 	})
-	s.forwardMisrouted(batch, batchTrace)
 	if !timed {
 		return answered
 	}
@@ -637,13 +628,12 @@ func (s *Server) startBatch(batch []*observeReq) <-chan struct{} {
 			id = tr.ID()
 		}
 		tr.Record(trace.Span{
-			Trace:  id,
-			Stage:  "decide.batch",
-			Origin: s.originName(),
-			Start:  start.UnixNano(),
-			DurUS:  float64(dur) / float64(time.Microsecond),
-			Batch:  len(batch),
-			Slow:   true,
+			Trace: id,
+			Stage: "decide.batch",
+			Start: start.UnixNano(),
+			DurUS: float64(dur) / float64(time.Microsecond),
+			Batch: len(batch),
+			Slow:  true,
 		})
 		s.log.Warn("slow decide batch",
 			"trace", id.String(),
@@ -651,12 +641,11 @@ func (s *Server) startBatch(batch []*observeReq) <-chan struct{} {
 			"batch", len(batch))
 	} else if batchTrace != 0 {
 		tr.Record(trace.Span{
-			Trace:  batchTrace,
-			Stage:  "decide.batch",
-			Origin: s.originName(),
-			Start:  start.UnixNano(),
-			DurUS:  float64(dur) / float64(time.Microsecond),
-			Batch:  len(batch),
+			Trace: batchTrace,
+			Stage: "decide.batch",
+			Start: start.UnixNano(),
+			DurUS: float64(dur) / float64(time.Microsecond),
+			Batch: len(batch),
 		})
 	}
 	return answered
@@ -667,12 +656,10 @@ func (s *Server) startBatch(batch []*observeReq) <-chan struct{} {
 func (s *Server) decideReq(r *observeReq) {
 	sess := s.sessionFor(r.m.Session)
 	if sess == nil {
-		r.unknown = true
 		r.oppIdx, r.freqMHz = -1, 0
 		r.errMsg = errUnknownSession(string(r.m.Session)).Error()
 		return
 	}
-	r.unknown = false
 	idx, err := sess.decide(r.m.Obs)
 	if err != nil {
 		r.oppIdx, r.freqMHz = -1, 0

@@ -96,10 +96,9 @@ func (s *Server) traceSpans(body []byte) (uint16, []byte) {
 
 // aggregateTrace answers OpTrace on the router: its own ring (route and
 // relay spans) merged with every reachable replica's, newest first, with
-// the filter's limit re-applied to the merged set. Replica spans whose
-// origin is empty (a replica outside any named fleet) are stamped with
-// the member address they came from, so the operator can always tell
-// which server recorded what. A failed replica degrades the answer (its
+// the filter's limit re-applied to the merged set. Replicas record spans
+// with an empty origin; each is stamped with the member address it came
+// from, so the operator can always tell which server recorded what. A failed replica degrades the answer (its
 // spans are missing) rather than failing it — same stance as metrics.
 func (rt *Router) aggregateTrace(body []byte) (uint16, []byte) {
 	f, err := parseTraceBody(body)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"qgov/internal/governor"
 	"qgov/internal/serve"
 	"qgov/internal/serve/client"
 	"qgov/internal/trace"
@@ -104,82 +103,6 @@ func TestRoutedDecideTraceStitching(t *testing.T) {
 			t.Fatalf("no decide span for %s: %+v", id, spans)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// A misrouted decide — sent straight to the wrong replica with a
-// client-chosen trace id — must stitch the same way: the wrong replica
-// records a "forward" span naming the owner, the owner records the
-// "decide" span marked Forwarded, and both surface under the one id
-// from the router's aggregated /v1/trace.
-func TestMisrouteForwardTraceStitching(t *testing.T) {
-	_, addrs := newFleet(t, 2, serve.Options{})
-	// NewRouter pushes the membership table to both replicas, which is
-	// what arms replica-side forwarding.
-	rt, err := serve.NewRouter(addrs, serve.RouterOptions{ProbeEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rcl, err := client.Dial(startRouterTCP(t, rt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcl.Close()
-
-	const id = "fwd-0"
-	body := fmt.Sprintf(`{"id":%q,"governor":"rtm","seed":7}`, id)
-	if st, resp, err := rcl.CreateSession([]byte(body)); err != nil || st != http.StatusCreated {
-		t.Fatalf("create: status %d err %v (%s)", st, err, resp)
-	}
-	owner, ok := rt.Owner(id)
-	if !ok {
-		t.Fatal("ring places nothing")
-	}
-	wrong := addrs[0]
-	if wrong == owner {
-		wrong = addrs[1]
-	}
-	wcl, err := client.Dial(wrong)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wcl.Close()
-
-	const tid = uint64(0x1234567890abcdef)
-	out := make([]client.Decision, 1)
-	err = wcl.DecideBatchTraced([]string{id}, []governor.Observation{steadyObs()}, out, []uint64{tid})
-	if err != nil || out[0].Err != "" {
-		t.Fatalf("misrouted decide: %v / %q", err, out[0].Err)
-	}
-
-	spans := fetchSpans(t, rcl, fmt.Sprintf(`{"trace":%q}`, trace.TraceID(tid).String()))
-	var forward, forwardedDecide bool
-	for _, sp := range spans {
-		if sp.Trace != trace.TraceID(tid) {
-			t.Fatalf("span under wrong trace: %+v", sp)
-		}
-		switch sp.Stage {
-		case "forward":
-			forward = true
-			if sp.Replica != owner {
-				t.Errorf("forward span names replica %q, want owner %q", sp.Replica, owner)
-			}
-			if sp.Session != id {
-				t.Errorf("forward span session %q, want %s", sp.Session, id)
-			}
-		case "decide":
-			if sp.Forwarded {
-				forwardedDecide = true
-				if sp.Session != id {
-					t.Errorf("forwarded decide session %q, want %s", sp.Session, id)
-				}
-			}
-		}
-	}
-	if !forward || !forwardedDecide {
-		t.Fatalf("stitched misroute incomplete (forward=%v forwardedDecide=%v): %+v",
-			forward, forwardedDecide, spans)
 	}
 }
 

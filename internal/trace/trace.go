@@ -3,8 +3,8 @@
 // A Tracer makes two sampling decisions. Head sampling picks a small
 // probabilistic fraction of decide batches up front (Sample), assigning
 // them a trace id that rides the wire protocol through every tier a
-// request crosses — router relay, replica decide, misroute forward — so
-// the spans recorded at each hop stitch together under one id. Tail
+// request crosses — router relay, replica decide — so the spans
+// recorded at each hop stitch together under one id. Tail
 // capture (Slow) additionally records any batch slower than a threshold
 // regardless of the head decision, which is what catches the p999
 // outlier a 1-in-1024 head sample would almost always miss.
@@ -86,19 +86,18 @@ func ParseID(s string) (TraceID, error) {
 // "route" (router batch, admission to last reply), "relay" (one
 // replica-group hop inside a routed batch), "decide" (one session's
 // decision on a replica), "decide.batch" (a whole replica batch, tail
-// captures), "forward" (a misroute re-forwarded replica-to-replica).
+// captures).
 type Span struct {
-	Trace     TraceID `json:"trace"`
-	Stage     string  `json:"stage"`
-	Origin    string  `json:"origin,omitempty"`  // which server recorded it ("router", replica addr)
-	Session   string  `json:"session,omitempty"` // for per-session stages
-	Replica   string  `json:"replica,omitempty"` // relay/forward destination
-	Start     int64   `json:"start_unix_ns"`
-	DurUS     float64 `json:"dur_us"`
-	Batch     int     `json:"batch,omitempty"` // requests in the batch, for batch stages
-	Forwarded bool    `json:"forwarded,omitempty"`
-	Err       string  `json:"err,omitempty"`
-	Slow      bool    `json:"slow,omitempty"` // recorded by tail capture, not head sampling
+	Trace   TraceID `json:"trace"`
+	Stage   string  `json:"stage"`
+	Origin  string  `json:"origin,omitempty"`  // which server recorded it ("router", replica addr)
+	Session string  `json:"session,omitempty"` // for per-session stages
+	Replica string  `json:"replica,omitempty"` // relay destination
+	Start   int64   `json:"start_unix_ns"`
+	DurUS   float64 `json:"dur_us"`
+	Batch   int     `json:"batch,omitempty"` // requests in the batch, for batch stages
+	Err     string  `json:"err,omitempty"`
+	Slow    bool    `json:"slow,omitempty"` // recorded by tail capture, not head sampling
 }
 
 // Filter selects spans out of a Snapshot.

@@ -27,18 +27,17 @@ func frameSeeds(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// A forwarded observe (replica → replica relay on behalf of a stale
-	// direct client) and the two shapes of OpMembers traffic: a fetch
-	// (empty body) and a push carrying the membership table.
-	fwd, err := wire.AppendObserveBytes(nil, 5, wire.FlagForwarded, []byte("c1"), &obs)
+	// An observe carrying an opaque flag bit, and an op no server
+	// implements, framed bare and with a JSON body.
+	fwd, err := wire.AppendObserveBytes(nil, 5, opaqueFlag, []byte("c1"), &obs)
 	if err != nil {
 		f.Fatal(err)
 	}
-	membersFetch, err := wire.AppendControl(nil, 6, wire.OpMembers, "", nil)
+	bareOp, err := wire.AppendControl(nil, 6, unassignedOp, "", nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	membersPush, err := wire.AppendControl(nil, 7, wire.OpMembers, "",
+	bodyOp, err := wire.AppendControl(nil, 7, unassignedOp, "",
 		[]byte(`{"epoch":3,"vnodes":128,"members":["127.0.0.1:7101","127.0.0.1:7102"],"self":"127.0.0.1:7101"}`))
 	if err != nil {
 		f.Fatal(err)
@@ -63,7 +62,7 @@ func frameSeeds(f *testing.F) {
 	// A traced observe (trailing 8-byte trace id behind FlagTraced) and
 	// the same frame with its tail cut off — the decoder must reject the
 	// flagged-but-idless shape, not read past the end.
-	traced, err := wire.AppendObserveTraced(nil, 9, wire.FlagForwarded, 0xfeedfacecafebeef, []byte("c2"), &obs)
+	traced, err := wire.AppendObserveTraced(nil, 9, opaqueFlag, 0xfeedfacecafebeef, []byte("c2"), &obs)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -77,9 +76,9 @@ func frameSeeds(f *testing.F) {
 	f.Add(warm)
 	f.Add(reply)
 	f.Add(fwd)
-	f.Add(membersFetch)
-	f.Add(membersPush)
-	f.Add(append(bytes.Clone(fwd), membersPush...))
+	f.Add(bareOp)
+	f.Add(bodyOp)
+	f.Add(append(bytes.Clone(fwd), bodyOp...))
 	f.Add(ctrl[:len(ctrl)-5]) // control cut mid-body
 	lying := bytes.Clone(ctrl)
 	lying[len(lying)-len(`{"governor":"rtm","seed":1}`)-1] = 0xff // forge the body length

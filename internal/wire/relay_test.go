@@ -14,7 +14,7 @@ import (
 // bound-violating prefixes.
 func TestObserveMeta(t *testing.T) {
 	obs := sampleObs()
-	frame, err := wire.AppendObserveBytes(nil, 42, wire.FlagForwarded, []byte("cluster-7"), &obs)
+	frame, err := wire.AppendObserveBytes(nil, 42, opaqueFlag, []byte("cluster-7"), &obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +27,8 @@ func TestObserveMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 42 || flags != wire.FlagForwarded || string(sess) != "cluster-7" {
-		t.Fatalf("ObserveMeta = (%d, %#x, %q), want (42, forwarded, cluster-7)", id, flags, sess)
+	if id != 42 || flags != opaqueFlag || string(sess) != "cluster-7" {
+		t.Fatalf("ObserveMeta = (%d, %#x, %q), want (42, 0x01, cluster-7)", id, flags, sess)
 	}
 
 	// Truncation anywhere inside the fixed prefix or the session bytes

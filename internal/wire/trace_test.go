@@ -56,7 +56,7 @@ func TestObserveTracedRoundTrip(t *testing.T) {
 // id behind it would desync every downstream decoder.
 func TestAppendObserveTracedZero(t *testing.T) {
 	obs := sampleObs()
-	frame, err := wire.AppendObserveTraced(nil, 1, wire.FlagTraced|wire.FlagForwarded, 0, "c0", &obs)
+	frame, err := wire.AppendObserveTraced(nil, 1, wire.FlagTraced|opaqueFlag, 0, "c0", &obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestAppendObserveTracedZero(t *testing.T) {
 	if err := m.Decode(payload); err != nil {
 		t.Fatal(err)
 	}
-	if m.Flags != wire.FlagForwarded || m.TraceID != 0 {
+	if m.Flags != opaqueFlag || m.TraceID != 0 {
 		t.Fatalf("zero-trace encode: flags %#x trace %#x", m.Flags, m.TraceID)
 	}
 }
@@ -104,7 +104,7 @@ func TestObserveTraceID(t *testing.T) {
 // an already-traced one, and reject truncated payloads.
 func TestAppendObserveTrace(t *testing.T) {
 	obs := sampleObs()
-	frame, err := wire.AppendObserveBytes(nil, 11, wire.FlagForwarded, []byte("c9"), &obs)
+	frame, err := wire.AppendObserveBytes(nil, 11, opaqueFlag, []byte("c9"), &obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestAppendObserveTrace(t *testing.T) {
 	if err := m.Decode(tagged); err != nil {
 		t.Fatal(err)
 	}
-	if m.TraceID != 0xaa55aa55aa55aa55 || m.Flags != wire.FlagForwarded|wire.FlagTraced {
+	if m.TraceID != 0xaa55aa55aa55aa55 || m.Flags != opaqueFlag|wire.FlagTraced {
 		t.Fatalf("tagged decode: trace %#x flags %#x", m.TraceID, m.Flags)
 	}
 	if m.ID != 11 || string(m.Session) != "c9" || !observationsBitEqual(m.Obs, obs) {

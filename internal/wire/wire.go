@@ -24,13 +24,13 @@
 //
 // Two more types carry the control plane. MsgControl asks the server to
 // run one session-lifecycle operation (create, checkpoint, delete,
-// info, metrics, list, health, members — the Op* constants, mirroring
-// the HTTP API one endpoint for one op, with the same JSON bodies,
-// except OpMembers whose body is the Members table); MsgControlReply
-// answers it with an HTTP status code and the JSON response. Control
-// frames are what let a routing tier drive a replica fleet entirely
-// over binary connections; they are rare (session lifetime, not
-// decision rate), so their JSON bodies cost nothing the hot path sees.
+// info, metrics, list, health, trace — the Op* constants, mirroring
+// the HTTP API one endpoint for one op, with the same JSON bodies);
+// MsgControlReply answers it with an HTTP status code and the JSON
+// response. Control frames are what let a routing tier drive a replica
+// fleet entirely over binary connections; they are rare (session
+// lifetime, not decision rate), so their JSON bodies cost nothing the
+// hot path sees.
 //
 // All integers are big-endian; floats travel as IEEE-754 bits, so every
 // observation field round-trips bit-exactly — the serve layer's
@@ -122,14 +122,8 @@ const (
 	// the replica, so a router can aggregate fleet liveness without
 	// enumerating sessions; the session field is ignored.
 	OpHealth byte = 0x07
-	// OpMembers carries the fleet membership table. With an empty body it
-	// is a fetch: the reply body is the Members document describing the
-	// current ring (routers answer with the fleet table; flat replicas
-	// answer with whatever table was last installed, epoch 0 when none).
-	// With a non-empty body it is a push: the router installs the table on
-	// a replica so the replica can recognise — and forward — decides for
-	// sessions the ring places elsewhere. The session field is ignored.
-	OpMembers byte = 0x08
+	// 0x08 is unassigned: servers answer it as an unknown op.
+
 	// OpTrace returns recent decide-path spans from the server's trace
 	// ring. The body is the JSON filter (/v1/trace's query parameters as
 	// a document: min_us, session, trace, limit), the reply body the JSON
@@ -140,11 +134,6 @@ const (
 
 // Observe flags.
 const (
-	// FlagForwarded marks an observe that one replica relayed to another
-	// on behalf of a stale direct client. A receiver never re-forwards a
-	// flagged observe, so transient membership disagreement between two
-	// replicas is bounded to one extra hop instead of a forwarding loop.
-	FlagForwarded byte = 0x01
 	// FlagTraced marks an observe carrying a trace id: 8 extra big-endian
 	// bytes appended after the util vector. The id travels at the payload
 	// tail so every fixed offset (ObserveMeta, SetObserveID) stays valid,
@@ -153,29 +142,6 @@ const (
 	// appending the id — no re-encode, no offset shuffle.
 	FlagTraced byte = 0x02
 )
-
-// Members is the JSON body of OpMembers frames — the one membership
-// schema both sides of the protocol share. The router stamps Epoch on
-// every ring change (monotonically increasing, starting at 1); replicas
-// report their installed epoch in their health document, which the
-// router's prober reads to re-push the table to a restarted replica.
-type Members struct {
-	// Epoch is the membership generation; 0 means "no fleet table".
-	Epoch uint32 `json:"epoch"`
-	// VNodes is the ring's virtual-node count; clients must build their
-	// ring with the same value to compute the same placement.
-	VNodes int `json:"vnodes"`
-	// Members lists the replica addresses on the ring, as dialed by the
-	// router.
-	Members []string `json:"members"`
-	// Self, set only on pushes, is the receiving replica's own address as
-	// the fleet knows it — what the replica compares ring owners against.
-	Self string `json:"self,omitempty"`
-	// Down, set on fetch replies, lists members the router's prober
-	// currently reports unreachable; direct clients route their keys via
-	// the router instead of dialing them.
-	Down []string `json:"down,omitempty"`
-}
 
 // Codec errors. Reader and Decode wrap or return these; io errors from
 // the underlying stream pass through unwrapped.
@@ -194,8 +160,8 @@ var (
 // stream of frames decodes without allocating.
 type Observe struct {
 	ID uint32
-	// Flags carries per-request transport flags (FlagForwarded,
-	// FlagTraced).
+	// Flags carries per-request transport flags (FlagTraced); other bits
+	// pass through the codec untouched.
 	Flags   byte
 	Session []byte
 	Obs     governor.Observation

@@ -13,6 +13,14 @@ import (
 	"qgov/internal/wire"
 )
 
+// opaqueFlag is an observe flag bit the codec does not interpret: it
+// must pass through encode, decode and relay metadata untouched.
+const opaqueFlag byte = 0x01
+
+// unassignedOp is a control op no server implements; the codec frames
+// it like any other op.
+const unassignedOp byte = 0x08
+
 func sampleObs() governor.Observation {
 	return governor.Observation{
 		Epoch:     41,
@@ -127,11 +135,12 @@ func TestDecideRoundTrip(t *testing.T) {
 	}
 }
 
-// TestObserveFlagsRoundTrip pins the flags byte: a forwarded observe
-// decodes with FlagForwarded set, a plain AppendObserve with zero.
+// TestObserveFlagsRoundTrip pins the flags byte: an observe encoded
+// with an opaque flag bit decodes with it set, a plain AppendObserve
+// with zero.
 func TestObserveFlagsRoundTrip(t *testing.T) {
 	obs := sampleObs()
-	frame, err := wire.AppendObserveBytes(nil, 3, wire.FlagForwarded, []byte("c0"), &obs)
+	frame, err := wire.AppendObserveBytes(nil, 3, opaqueFlag, []byte("c0"), &obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +152,8 @@ func TestObserveFlagsRoundTrip(t *testing.T) {
 	if err := m.Decode(payload); err != nil {
 		t.Fatal(err)
 	}
-	if m.ID != 3 || m.Flags != wire.FlagForwarded || string(m.Session) != "c0" {
-		t.Errorf("forwarded observe mangled: id %d flags %#x session %q", m.ID, m.Flags, m.Session)
+	if m.ID != 3 || m.Flags != opaqueFlag || string(m.Session) != "c0" {
+		t.Errorf("flagged observe mangled: id %d flags %#x session %q", m.ID, m.Flags, m.Session)
 	}
 	if !observationsBitEqual(m.Obs, obs) {
 		t.Errorf("observation mangled through AppendObserveBytes")
