@@ -51,9 +51,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	seedList := experiments.DefaultSeeds
-	if *seeds < len(seedList) && *seeds > 0 {
-		seedList = seedList[:*seeds]
+	seedList, err := seedsFor(*seeds)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
 	}
 
 	if *runWhat == "sweep" {
@@ -119,6 +120,16 @@ func main() {
 		}
 		return res.Render(os.Stdout)
 	})
+}
+
+// seedsFor returns the first n of experiments.DefaultSeeds, or an error
+// naming the valid range when n falls outside it.
+func seedsFor(n int) ([]int64, error) {
+	all := experiments.DefaultSeeds
+	if n < 1 || n > len(all) {
+		return nil, fmt.Errorf("-seeds %d is out of range: want 1 to %d", n, len(all))
+	}
+	return all[:n], nil
 }
 
 // runSweep streams the scenarios × seeds product through the worker pool

@@ -70,3 +70,52 @@ func TestLiveBytesPerSessionIndependentOfDecideCount(t *testing.T) {
 			d, at1k, at20k)
 	}
 }
+
+// Every RTM-family governor decides with zero heap allocations once warm.
+// testing.AllocsPerRun truncates its average to an integer, so a leftover
+// of one allocation every few dozen decides would read 0 there; this test
+// counts MemStats.Mallocs over 10,000 steady decides and requires exactly
+// 0. The tables are private (no pool), so no copy-on-write fault, which
+// allocates by design, can occur.
+func TestSteadyDecideZeroMallocs(t *testing.T) {
+	const warm, steady = 2_000, 10_000
+	for name, cfg := range rtmFamily() {
+		t.Run(name, func(t *testing.T) {
+			r := New(cfg)
+			ctx := rtmCtx(7)
+			r.Reset(ctx)
+			obs := governor.Observation{
+				Cycles:    make([]uint64, ctx.NumCores),
+				Util:      []float64{0.8, 0.8, 0.8, 0.8},
+				PeriodS:   ctx.PeriodS,
+				WallTimeS: ctx.PeriodS,
+				PowerW:    2,
+				TempC:     50,
+			}
+			obs.OPPIdx = r.Decide(governor.Observation{Epoch: -1})
+			epoch := 0
+			decideTo := func(n int) {
+				for ; epoch < n; epoch++ {
+					// The footprint test's wandering demand: the learner
+					// keeps moving between states and updating.
+					cc := uint64(20e6 + 1e6*float64((epoch*7)%23))
+					for c := range obs.Cycles {
+						obs.Cycles[c] = cc
+					}
+					obs.Epoch = epoch
+					obs.ExecTimeS = 0.030 + 0.0005*float64(epoch%19)
+					obs.OPPIdx = r.Decide(obs)
+				}
+			}
+			decideTo(warm)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			decideTo(warm + steady)
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("%d heap allocations over %d steady decides (%.4f per decide), want 0",
+					n, steady, float64(n)/steady)
+			}
+		})
+	}
+}

@@ -36,8 +36,9 @@ type QTable struct {
 	// rowVisits caches per-state visit totals. The convergence tracker
 	// reads RowVisits for every state on every decision, which made the
 	// O(actions) sum the single hottest path of the decision service;
-	// the cache turns it into a load.
-	rowVisits []int
+	// the cache turns it into a load. Totals are int32 like the per-pair
+	// counts they sum (see qpage).
+	rowVisits []int32
 }
 
 // NewQTable creates a table with every entry at initQ, with private
@@ -50,7 +51,7 @@ func NewQTable(states, actions int, initQ float64) *QTable {
 		states:    states,
 		actions:   actions,
 		tab:       qpage.New(states, actions, initQ),
-		rowVisits: make([]int, states),
+		rowVisits: make([]int32, states),
 	}
 }
 
@@ -65,7 +66,7 @@ func NewQTableShared(pool *qpage.Pool, states, actions int, initQ float64) *QTab
 		states:    states,
 		actions:   actions,
 		tab:       pool.NewShared(states, actions, initQ),
-		rowVisits: make([]int, states),
+		rowVisits: make([]int32, states),
 	}
 }
 
@@ -77,9 +78,8 @@ func (t *QTable) Clone() *QTable {
 		states:    t.states,
 		actions:   t.actions,
 		tab:       t.tab.Clone(),
-		rowVisits: make([]int, t.states),
+		rowVisits: append([]int32(nil), t.rowVisits...),
 	}
-	copy(nt.rowVisits, t.rowVisits)
 	return nt
 }
 
@@ -99,12 +99,12 @@ func (t *QTable) Release() {
 // deserialisation paths call it after replacing the underlying storage.
 func (t *QTable) recomputeRowVisits() {
 	if len(t.rowVisits) != t.states {
-		t.rowVisits = make([]int, t.states)
+		t.rowVisits = make([]int32, t.states)
 	}
 	for s := 0; s < t.states; s++ {
-		sum := 0
+		var sum int32
 		for _, v := range t.tab.VRow(s) {
-			sum += int(v)
+			sum += v
 		}
 		t.rowVisits[s] = sum
 	}
@@ -133,14 +133,14 @@ func (t *QTable) RowVisits(state int) int {
 	if state < 0 || state >= t.states {
 		panic(fmt.Sprintf("core: state %d outside [0,%d)", state, t.states))
 	}
-	return t.rowVisits[state]
+	return int(t.rowVisits[state])
 }
 
 // VisitTotal returns the total updates across all states and actions.
 func (t *QTable) VisitTotal() int {
 	n := 0
 	for _, v := range t.rowVisits {
-		n += v
+		n += int(v)
 	}
 	return n
 }
@@ -225,10 +225,10 @@ func (t *QTable) BestActionSticky(state, current int, margin float64) int {
 
 // GreedyPolicy returns the best action for every state — the fingerprint
 // the convergence tracker watches.
-func (t *QTable) GreedyPolicy() []int {
-	out := make([]int, t.states)
+func (t *QTable) GreedyPolicy() []int16 {
+	out := make([]int16, t.states)
 	for s := range out {
-		out[s] = t.BestAction(s)
+		out[s] = int16(t.BestAction(s))
 	}
 	return out
 }

@@ -61,7 +61,7 @@ func TestQTableGreedyPolicy(t *testing.T) {
 	q.Update(0, 1, 1, 0, 1, 0)
 	q.Update(1, 2, 1, 0, 1, 0)
 	pol := q.GreedyPolicy()
-	want := []int{1, 2, 0}
+	want := []int16{1, 2, 0}
 	for i := range want {
 		if pol[i] != want[i] {
 			t.Fatalf("policy = %v, want %v", pol, want)

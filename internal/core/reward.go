@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"qgov/internal/stats"
-)
+import "fmt"
 
 // SlackTracker maintains the average slack ratio L of Eq. 5:
 //
@@ -17,14 +13,19 @@ import (
 // average, one early deadline miss would bias L for the rest of a
 // 3000-frame run. Window == 0 selects the cumulative behaviour.
 type SlackTracker struct {
-	Window int // number of epochs in D; 0 = since start
+	Window int // number of epochs in D; 0 = since start; fixed after the first Observe
 
-	ratios []float64 // per-epoch slack ratios, newest last (windowed mode)
-	sum    float64
-	count  int
-	l      float64
-	prevL  float64
-	last   float64
+	// ring holds the last Window per-epoch slack ratios (windowed mode),
+	// allocated once on the first Observe; the oldest sits at head once n
+	// reaches Window, at index 0 before that.
+	ring  []float64
+	head  int
+	n     int
+	sum   float64
+	count int
+	l     float64
+	prevL float64
+	last  float64
 }
 
 // NewSlackTracker returns a tracker with the given window.
@@ -50,12 +51,38 @@ func (t *SlackTracker) Observe(completionS, refS float64) float64 {
 		t.l = t.sum / float64(t.count)
 		return t.l
 	}
-	t.ratios = append(t.ratios, ratio)
-	if len(t.ratios) > t.Window {
-		t.ratios = t.ratios[1:]
+	if t.ring == nil {
+		t.ring = make([]float64, t.Window)
 	}
-	t.l = stats.Mean(t.ratios)
+	if t.n < len(t.ring) {
+		t.ring[t.n] = ratio
+		t.n++
+	} else {
+		t.ring[t.head] = ratio
+		if t.head++; t.head == len(t.ring) {
+			t.head = 0
+		}
+	}
+	t.l = t.windowMean()
 	return t.l
+}
+
+// windowMean is stats.Mean over the window, oldest ratio first: the same
+// Kahan summation in the same order, so L is bit-for-bit what the mean of
+// the window as one slice gives.
+func (t *SlackTracker) windowMean() float64 {
+	var sum, comp float64
+	i := t.head
+	for range t.n {
+		y := t.ring[i] - comp
+		s := sum + y
+		comp = (s - sum) - y
+		sum = s
+		if i++; i == len(t.ring) {
+			i = 0
+		}
+	}
+	return sum / float64(t.n)
 }
 
 // L returns the current average slack ratio.
@@ -70,7 +97,7 @@ func (t *SlackTracker) LastRatio() float64 { return t.last }
 
 // Reset clears the tracker.
 func (t *SlackTracker) Reset() {
-	t.ratios = nil
+	t.head, t.n = 0, 0
 	t.sum, t.l, t.prevL, t.last = 0, 0, 0, 0
 	t.count = 0
 }

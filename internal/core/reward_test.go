@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"qgov/internal/stats"
 )
 
 func TestSlackTrackerWindowed(t *testing.T) {
@@ -166,5 +168,25 @@ func TestSlackTrackerHullProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The windowed tracker's L is bit-for-bit stats.Mean over the last Window
+// ratios held as one slice, oldest first: the ring must keep the Kahan
+// summation's order, or decisions drift.
+func TestSlackTrackerRingMatchesSliceMean(t *testing.T) {
+	for _, window := range []int{1, 2, 15} {
+		tr := NewSlackTracker(window)
+		var ratios []float64
+		for i := range 200 {
+			exec := 0.020 + 0.000731*float64((i*37)%41) // 20..49 ms
+			ratios = append(ratios, (0.040-exec)/0.040)
+			if len(ratios) > window {
+				ratios = ratios[1:]
+			}
+			if got, want := tr.Observe(exec, 0.040), stats.Mean(ratios); got != want {
+				t.Fatalf("window %d, epoch %d: L = %v, slice mean %v", window, i, got, want)
+			}
+		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+
 	"qgov/internal/governor"
 	"qgov/internal/predictor"
 	"qgov/internal/xrand"
@@ -114,9 +116,12 @@ type RTM struct {
 	// state a freshly created session that has never decided should not
 	// pay the allocation. Laziness is stream-identical — no draw happens
 	// between Reset and the first selectAction either way.
-	rng        *xrand.Rand
-	tables     []*QTable // one (shared) or NumCores (per-core)
-	greedy     [][]int   // sticky greedy choice per table, per state
+	rng    *xrand.Rand
+	tables []*QTable // one (shared) or NumCores (per-core)
+	// greedy holds the sticky greedy choice of every table's states,
+	// table-major: greedy[t*NumStates()+s]. Reset rejects OPP tables
+	// longer than a uint8 can index.
+	greedy     []uint8
 	preds      []predictor.EWMA
 	slack      *SlackTracker
 	tracker    *governor.ConvergenceTracker
@@ -128,7 +133,7 @@ type RTM struct {
 
 	// Per-epoch scratch, reused so Decide allocates nothing in steady
 	// state.
-	fpScratch   []int
+	fpScratch   []int16
 	predScratch []float64
 
 	explorations  int
@@ -292,6 +297,9 @@ func (r *RTM) Reset(ctx governor.Context) {
 	}
 	nStates := r.space.NumStates()
 	nActions := ctx.Table.Len()
+	if nActions > math.MaxUint8+1 {
+		panic(fmt.Sprintf("core: %d-point OPP table exceeds the RTM's %d-action limit", nActions, math.MaxUint8+1))
+	}
 	r.releaseTables()
 	r.tables = make([]*QTable, nTables)
 	if r.restored != nil {
@@ -329,13 +337,11 @@ func (r *RTM) Reset(ctx governor.Context) {
 	for i := range r.preds {
 		r.preds[i] = *predictor.NewEWMA(r.cfg.EWMAGamma)
 	}
-	r.greedy = make([][]int, nTables)
-	for i := range r.greedy {
-		g := make([]int, nStates)
-		for s := range g {
-			g[s] = r.tables[i].BestAction(s)
+	r.greedy = make([]uint8, nTables*nStates)
+	for i, t := range r.tables {
+		for s := range nStates {
+			r.greedy[i*nStates+s] = uint8(t.BestAction(s))
 		}
-		r.greedy[i] = g
 	}
 	r.slack = NewSlackTracker(r.cfg.SlackWindow)
 	r.cfg.Epsilon.Reset()
@@ -351,7 +357,7 @@ func (r *RTM) Reset(ctx governor.Context) {
 	} else {
 		r.normFreq = ctx.Table.NormFreqs()
 	}
-	r.fpScratch = make([]int, 0, nTables*nStates)
+	r.fpScratch = make([]int16, nTables*nStates)
 	r.predScratch = make([]float64, ctx.NumCores)
 	r.prevState = make([]int, nTables)
 	r.prevAction = 0
@@ -478,7 +484,8 @@ func (r *RTM) effectiveAlpha(t, state, action int) float64 {
 
 // refreshGreedy re-evaluates the sticky greedy choice of one state.
 func (r *RTM) refreshGreedy(t, state int) {
-	r.greedy[t][state] = r.tables[t].BestActionSticky(state, r.greedy[t][state], r.cfg.GreedyMargin)
+	g := &r.greedy[t*r.space.NumStates()+state]
+	*g = uint8(r.tables[t].BestActionSticky(state, int(*g), r.cfg.GreedyMargin))
 }
 
 // decidePerCore runs the rotating independent-table scheme: the epoch's
@@ -550,7 +557,7 @@ func (r *RTM) selectActionNoCount(t, state int, l float64) (int, bool) {
 		}
 		return a, false // a repeat visit, not a new exploration
 	}
-	return r.greedy[t][state], false
+	return int(r.greedy[t*r.space.NumStates()+state]), false
 }
 
 // greedyFingerprint concatenates the sticky greedy policies of all tables,
@@ -559,20 +566,17 @@ func (r *RTM) selectActionNoCount(t, state int, l float64) (int, bool) {
 // greedy choice flipping must not count as "the policy is still moving".
 // A state entering the fingerprint as it crosses the threshold costs one
 // tolerated flip.
-func (r *RTM) greedyFingerprint() []int {
+func (r *RTM) greedyFingerprint() []int16 {
 	const minRowVisits = 20
-	out := r.fpScratch[:0]
-	for ti, g := range r.greedy {
-		for s, a := range g {
-			if r.tables[ti].RowVisits(s) < minRowVisits {
-				out = append(out, -1)
-			} else {
-				out = append(out, a)
-			}
+	nStates := r.space.NumStates()
+	for i, a := range r.greedy {
+		if r.tables[i/nStates].RowVisits(i%nStates) < minRowVisits {
+			r.fpScratch[i] = -1
+		} else {
+			r.fpScratch[i] = int16(a)
 		}
 	}
-	r.fpScratch = out
-	return out
+	return r.fpScratch
 }
 
 func init() {

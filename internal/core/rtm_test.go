@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"qgov/internal/governor"
@@ -247,4 +248,18 @@ func TestRTMRegisteredInGovernorRegistry(t *testing.T) {
 			t.Errorf("%s does not expose learning statistics", name)
 		}
 	}
+}
+
+// The sticky greedy choices are stored as uint8, so Reset refuses an OPP
+// table with more points than a uint8 can index.
+func TestRTMResetRejectsOversizedOPPTable(t *testing.T) {
+	ctx := rtmCtx(1)
+	ctx.Table = make(platform.OPPTable, 257)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "256-action limit") {
+			t.Fatalf("Reset of a 257-point OPP table panicked with %q, want the action limit", msg)
+		}
+	}()
+	New(DefaultConfig()).Reset(ctx)
 }

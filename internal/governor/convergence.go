@@ -68,11 +68,12 @@ type ConvergenceTracker struct {
 	// the window.
 	MaxFlips int
 
-	// prev holds action indices (a DVFS ladder has ≤ a few dozen points)
-	// and lastFlip/flipRing hold epoch numbers and per-epoch flip counts;
-	// the narrow element types keep the tracker's three per-session arrays
-	// at ~a third of their []int size, which matters when a serving fleet
-	// holds one tracker per live session.
+	// prev holds action indices (a DVFS ladder has ≤ a few dozen points,
+	// so policies arrive as []int16) and lastFlip/flipRing hold epoch
+	// numbers and per-epoch flip counts; the narrow element types keep the
+	// tracker's three per-session arrays at ~a third of their []int size,
+	// which matters when a serving fleet holds one tracker per live
+	// session.
 	prev      []int16
 	lastFlip  []int32 // epoch each state's greedy action last changed
 	flipRing  []int32
@@ -98,8 +99,9 @@ func NewConvergenceTracker(stableEpochs int) *ConvergenceTracker {
 }
 
 // Observe records the greedy policy (one chosen action per state) for the
-// current epoch. A policy of different length counts as fully changed.
-func (c *ConvergenceTracker) Observe(policy []int) {
+// current epoch (-1 marks a state the learner masks as not yet sampled).
+// A policy of different length counts as fully changed.
+func (c *ConvergenceTracker) Observe(policy []int16) {
 	flips := 0
 	if c.prev == nil || len(policy) != len(c.prev) {
 		flips = len(policy)
@@ -112,7 +114,7 @@ func (c *ConvergenceTracker) Observe(policy []int) {
 		}
 	} else {
 		for i := range policy {
-			if int16(policy[i]) != c.prev[i] {
+			if policy[i] != c.prev[i] {
 				flips++
 				c.lastFlip[i] = int32(c.epoch)
 			}
@@ -123,9 +125,7 @@ func (c *ConvergenceTracker) Observe(policy []int) {
 	} else {
 		c.prev = c.prev[:len(policy)]
 	}
-	for i, a := range policy {
-		c.prev[i] = int16(a)
-	}
+	copy(c.prev, policy)
 
 	c.windowSum += flips - int(c.flipRing[c.ringIdx])
 	c.flipRing[c.ringIdx] = int32(flips)

@@ -13,7 +13,7 @@ func TestConvergenceStableFraction(t *testing.T) {
 
 	// Four states, constant policy: nothing is stable until the window
 	// has been seen, then everything is.
-	policy := []int{1, 2, 3, 4}
+	policy := []int16{1, 2, 3, 4}
 	for i := 0; i < 2; i++ {
 		c.Observe(policy)
 		if f := c.StableFraction(); f != 0 {
@@ -27,7 +27,7 @@ func TestConvergenceStableFraction(t *testing.T) {
 
 	// One state flips: 3/4 remain stable, and the flipped one needs a
 	// fresh window to recover.
-	flipped := []int{1, 2, 3, 9}
+	flipped := []int16{1, 2, 3, 9}
 	c.Observe(flipped)
 	if f := c.StableFraction(); f != 0.75 {
 		t.Fatalf("after one flip StableFraction = %v, want 0.75", f)

@@ -78,7 +78,7 @@ type MLDTM struct {
 	tracker      *ConvergenceTracker
 	// fpScratch backs greedyPolicy's fingerprint across decides; the
 	// tracker copies what it keeps, so reusing it is safe.
-	fpScratch []int
+	fpScratch []int16
 
 	// restored is the staged Checkpointer state; Reset applies it.
 	// restoredTab is the staged table interned on first apply — every
@@ -419,7 +419,7 @@ func (g *MLDTM) Decide(obs Observation) int {
 // fingerprint, masking under-sampled states exactly as the proposed RTM
 // does (see RTM.greedyFingerprint) so the Table III comparison measures
 // the same notion of stability on both sides.
-func (g *MLDTM) greedyPolicy() []int {
+func (g *MLDTM) greedyPolicy() []int16 {
 	const minRowVisits = 20
 	out := g.fpScratch[:0]
 	for c, per := range g.greedy {
@@ -431,7 +431,7 @@ func (g *MLDTM) greedyPolicy() []int {
 			if rowVisits < minRowVisits {
 				out = append(out, -1)
 			} else {
-				out = append(out, a)
+				out = append(out, int16(a))
 			}
 		}
 	}

@@ -110,11 +110,11 @@ func TestConvergenceTracker(t *testing.T) {
 	// change (len(policy) flips), so the window must drain before any
 	// convergence is possible.
 	tr := NewConvergenceTracker(3)
-	a := []int{1, 2, 3}
-	b := []int{1, 2, 4} // one entry differs from a
-	tr.Observe(a)       // epoch 0: 3 flips (first sight)
-	tr.Observe(a)       // epoch 1: 0 flips
-	tr.Observe(a)       // epoch 2: window holds 3 flips -> not converged
+	a := []int16{1, 2, 3}
+	b := []int16{1, 2, 4} // one entry differs from a
+	tr.Observe(a)         // epoch 0: 3 flips (first sight)
+	tr.Observe(a)         // epoch 1: 0 flips
+	tr.Observe(a)         // epoch 2: window holds 3 flips -> not converged
 	if tr.ConvergedAt() >= 0 {
 		t.Fatal("converged while the first-sight flips were still in window")
 	}
@@ -151,8 +151,8 @@ func TestConvergenceTracker(t *testing.T) {
 
 func TestConvergenceTrackerLengthChange(t *testing.T) {
 	tr := NewConvergenceTracker(2)
-	tr.Observe([]int{1})
-	tr.Observe([]int{1, 2}) // different length: full change
+	tr.Observe([]int16{1})
+	tr.Observe([]int16{1, 2}) // different length: full change
 	if tr.ConvergedAt() >= 0 {
 		t.Fatal("length change treated as stable")
 	}
@@ -164,7 +164,7 @@ func TestConvergenceTrackerLengthChange(t *testing.T) {
 func TestConvergenceTrackerReset(t *testing.T) {
 	tr := NewConvergenceTracker(1)
 	tr.MaxFlips = 99 // any change tolerated
-	tr.Observe([]int{1})
+	tr.Observe([]int16{1})
 	if tr.ConvergedAt() != 0 {
 		t.Fatal("setup failed")
 	}

@@ -6,12 +6,19 @@
 // cold-started session begins from the same uniform InitQ table, and every
 // session warm-started from a given registry manifest begins from the same
 // trained values — yet each session used to carry its own full deep copy
-// (~7.6 KB per 25×19 table). This package splits a table into fixed-size
+// (~6.8 KB per 25×19 table). This package splits a table into fixed-size
 // pages and keeps one refcounted copy of each distinct page in a
 // process-wide pool keyed by content hash (SHA-256, consistent with the
 // registry's content addressing). A session's table is then a slice of
 // page pointers; the first write to a shared page copies just that page
 // (a "COW fault") and the session owns the copy from there on.
+//
+// Memory layout: a page is a 32-B header over one buffer that holds the
+// page's values and then its visit counts, packed two int32 to a float64
+// word. A private 19-column page therefore costs its 228 B of data in a
+// 240-B allocation plus the header — 272 B in two allocations per fault.
+// Pool bookkeeping (content key and refcount) lives in a separate record
+// that only pooled pages point to, so private pages carry none of it.
 //
 // Concurrency contract: a pooled page is immutable after publish — writers
 // always fault it out first — so concurrent readers never need a lock. The
@@ -28,36 +35,56 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // PageRows is the number of table rows per page. One row of a 19-action
-// table is a ~300 B page — the fault quantum. Fault granularity is the
-// dominant per-session memory cost under churn: a short-lived session
-// visits two or three states before it is reaped, and at four rows per
-// page each of those visits dragged in three neighbouring rows of dead
-// weight (~3.3 KB/session measured at soak scale; ~1 KB at one row).
-// The price is more page pointers per table (25 instead of 7 for the
-// paper-sized table) and proportionally more refcount traffic on
-// clone/release — both off the decide hot path.
+// table is a 272-B page (header and buffer) — the fault quantum. Fault
+// granularity is the dominant per-session memory cost under churn: a
+// short-lived session visits two or three states before it is reaped, and
+// at four rows per page each of those visits dragged in three
+// neighbouring rows of dead weight (~3.3 KB/session measured at soak
+// scale; ~1 KB at one row). The price is more page pointers per table (25
+// instead of 7 for the paper-sized table) and proportionally more
+// refcount traffic on clone/release — both off the decide hot path.
 const PageRows = 1
 
-// Page holds PageRows rows of values and visit counts, always allocated
+// page holds PageRows rows of values and visit counts, always allocated
 // full-size (the last page of a table leaves its tail rows at the fill
-// value). pooled/key/refs are pool bookkeeping: refs is guarded by the
-// owning shard's mutex; pooled and key are written once before the page is
-// published and never change afterwards.
-type Page struct {
-	Q []float64
-	// V holds visit counts as int32: 2^31 visits per state–action pair
-	// is beyond any session lifetime, and the narrower lane halves the
-	// second-largest slab of per-session COW memory. The checkpoint
-	// surface (AppendV/FromFlat) spells them as plain integers, so nothing
-	// serialised changes.
-	V []int32
+// value). With n = PageRows·cols, buf holds the n values and then the n
+// visit counts (see newBuf and visits).
+//
+// Visit counts are int32: 2^31 visits per state–action pair is beyond any
+// session lifetime, and the narrower lane halves the second-largest slab
+// of per-session COW memory. The checkpoint surface (AppendV/FromFlat)
+// spells them as plain integers, so nothing serialised changes.
+type page struct {
+	buf []float64
+	// shared is non-nil exactly when the page is pooled. It is set once
+	// before the page is published and never changes afterwards.
+	shared *shared
+}
 
-	pooled bool
-	key    [32]byte
-	refs   int64
+// shared is the pool bookkeeping of a published page. refs is guarded by
+// the owning shard's mutex; key and bytes never change.
+type shared struct {
+	key   [32]byte
+	refs  int64
+	bytes int64 // payload bytes, for the pool's Stats
+}
+
+// newBuf allocates one page buffer for n values and n visit counts: n
+// float64 words, then ceil(n/2) words that visits views as n int32.
+func newBuf(n int) []float64 { return make([]float64, n+(n+1)/2) }
+
+// visits returns the n visit counts stored after the n values of a buffer
+// from newBuf. The view is sound: the backing array is one pointer-free,
+// 8-byte-aligned float64 allocation, so every int32 lane in it is aligned;
+// the 4n bytes viewed lie inside the ceil(n/2) words newBuf reserved past
+// the values and never overlap them; and the interior pointer keeps the
+// whole allocation alive for the garbage collector, which never scans it.
+func visits(buf []float64, n int) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(&buf[n])), n)
 }
 
 // Table is a rows×cols value table stored as page references. Pages are
@@ -65,15 +92,18 @@ type Page struct {
 // MutRow faults them out before the first write).
 type Table struct {
 	rows, cols int
-	pages      []*Page
+	pages      []*page
 	pool       *Pool // pool the pooled pages belong to; nil if never interned
 }
+
+// span is the number of values (and of visit counts) on one page.
+func (t *Table) span() int { return PageRows * t.cols }
 
 const poolShards = 64
 
 type poolShard struct {
 	mu    sync.Mutex
-	m     map[[32]byte]*Page
+	m     map[[32]byte]*page
 	pages int64
 	bytes int64
 	// Pad shards apart so refcount traffic from unrelated sessions does
@@ -94,7 +124,7 @@ type Pool struct {
 func NewPool() *Pool {
 	p := new(Pool)
 	for i := range p.shards {
-		p.shards[i].m = make(map[[32]byte]*Page)
+		p.shards[i].m = make(map[[32]byte]*page)
 	}
 	return p
 }
@@ -116,22 +146,22 @@ func (p *Pool) Stats() (pages, bytes, faults int64) {
 
 func (p *Pool) shardOf(key [32]byte) *poolShard { return &p.shards[key[0]&(poolShards-1)] }
 
-// contentKey hashes a page's exact content: lengths then raw float64 bits
-// then visit counts, all little-endian. Bit-exact equality is the intern
-// criterion (−0 and 0 intern separately; NaNs never reach a table — the
-// checkpoint loaders reject them).
-func contentKey(pg *Page) [32]byte {
+// contentKey hashes the exact content of a page holding n values: lengths
+// then raw float64 bits then visit counts, all little-endian. Bit-exact
+// equality is the intern criterion (−0 and 0 intern separately; NaNs never
+// reach a table — the checkpoint loaders reject them).
+func contentKey(pg *page, n int) [32]byte {
 	h := sha256.New()
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(pg.Q)))
+	binary.LittleEndian.PutUint64(buf[:], uint64(n))
 	h.Write(buf[:])
-	for _, q := range pg.Q {
+	for _, q := range pg.buf[:n] {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(q))
 		h.Write(buf[:])
 	}
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(pg.V)))
+	binary.LittleEndian.PutUint64(buf[:], uint64(n))
 	h.Write(buf[:])
-	for _, v := range pg.V {
+	for _, v := range visits(pg.buf, n) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
@@ -140,33 +170,29 @@ func contentKey(pg *Page) [32]byte {
 	return key
 }
 
-func pageBytes(pg *Page) int64 { return int64(len(pg.Q))*8 + int64(len(pg.V))*4 }
-
-// intern publishes an owned page (or finds an identical one already
-// published) and returns the pooled page with one reference held.
-func (p *Pool) intern(pg *Page) *Page {
-	key := contentKey(pg)
+// intern publishes an owned page of n values (or finds an identical one
+// already published) and returns the pooled page with one reference held.
+func (p *Pool) intern(pg *page, n int) *page {
+	key := contentKey(pg, n)
 	sh := p.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if got, ok := sh.m[key]; ok {
-		got.refs++
+		got.shared.refs++
 		return got
 	}
-	pg.pooled = true
-	pg.key = key
-	pg.refs = 1
+	pg.shared = &shared{key: key, refs: 1, bytes: int64(n) * (8 + 4)}
 	sh.m[key] = pg
 	sh.pages++
-	sh.bytes += pageBytes(pg)
+	sh.bytes += pg.shared.bytes
 	return pg
 }
 
 // acquire takes one more reference on an already-pooled page.
-func (p *Pool) acquire(pg *Page) {
-	sh := p.shardOf(pg.key)
+func (p *Pool) acquire(pg *page) {
+	sh := p.shardOf(pg.shared.key)
 	sh.mu.Lock()
-	pg.refs++
+	pg.shared.refs++
 	sh.mu.Unlock()
 }
 
@@ -175,15 +201,16 @@ func (p *Pool) acquire(pg *Page) {
 // pool holds distinct *content*, so its population is orders of magnitude
 // below the session count and map growth is not a storm concern the way
 // sessionstore's was.
-func (p *Pool) release(pg *Page) {
-	sh := p.shardOf(pg.key)
+func (p *Pool) release(pg *page) {
+	ps := pg.shared
+	sh := p.shardOf(ps.key)
 	sh.mu.Lock()
-	pg.refs--
-	if pg.refs == 0 {
-		delete(sh.m, pg.key)
+	ps.refs--
+	if ps.refs == 0 {
+		delete(sh.m, ps.key)
 		sh.pages--
-		sh.bytes -= pageBytes(pg)
-	} else if pg.refs < 0 {
+		sh.bytes -= ps.bytes
+	} else if ps.refs < 0 {
 		sh.mu.Unlock()
 		panic("qpage: page released more times than acquired")
 	}
@@ -198,33 +225,41 @@ func New(rows, cols int, fill float64) *Table {
 	if rows < 1 || cols < 1 {
 		panic(fmt.Sprintf("qpage: Table(%d rows, %d cols)", rows, cols))
 	}
-	t := &Table{rows: rows, cols: cols, pages: make([]*Page, numPages(rows))}
+	t := &Table{rows: rows, cols: cols, pages: make([]*page, numPages(rows))}
 	for i := range t.pages {
-		t.pages[i] = newPage(cols, fill)
+		t.pages[i] = newPage(t.span(), fill)
 	}
 	return t
 }
 
-func newPage(cols int, fill float64) *Page {
-	pg := &Page{Q: make([]float64, PageRows*cols), V: make([]int32, PageRows*cols)}
+// newPage returns an owned page of n values at fill and n zero visits.
+func newPage(n int, fill float64) *page {
+	pg := &page{buf: newBuf(n)}
 	if fill != 0 {
-		for i := range pg.Q {
-			pg.Q[i] = fill
+		for i := range pg.buf[:n] {
+			pg.buf[i] = fill
 		}
 	}
 	return pg
 }
 
+// ownCopy returns an owned copy of pg's content.
+func ownCopy(pg *page) *page {
+	buf := make([]float64, len(pg.buf))
+	copy(buf, pg.buf)
+	return &page{buf: buf}
+}
+
 // NewShared creates a table whose pages are all references to one pooled
 // uniform page — the cold-start fast path. A fleet of a million
-// just-created sessions on the same platform shares a single ~230 B page
-// per distinct (cols, fill) pair.
+// just-created sessions on the same platform shares a single 228-B page
+// payload per distinct (cols, fill) pair.
 func (p *Pool) NewShared(rows, cols int, fill float64) *Table {
 	if rows < 1 || cols < 1 {
 		panic(fmt.Sprintf("qpage: Table(%d rows, %d cols)", rows, cols))
 	}
-	t := &Table{rows: rows, cols: cols, pool: p, pages: make([]*Page, numPages(rows))}
-	pg := p.intern(newPage(cols, fill))
+	t := &Table{rows: rows, cols: cols, pool: p, pages: make([]*page, numPages(rows))}
+	pg := p.intern(newPage(t.span(), fill), t.span())
 	t.pages[0] = pg
 	for i := 1; i < len(t.pages); i++ {
 		p.acquire(pg)
@@ -241,11 +276,10 @@ func FromFlat(rows, cols int, q []float64, v []int) *Table {
 	}
 	t := New(rows, cols, 0)
 	for r := 0; r < rows; r++ {
-		pg := t.pages[r/PageRows]
-		off := (r % PageRows) * cols
-		copy(pg.Q[off:off+cols], q[r*cols:(r+1)*cols])
+		qr, vr := t.MutRow(r)
+		copy(qr, q[r*cols:(r+1)*cols])
 		for c, vc := range v[r*cols : (r+1)*cols] {
-			pg.V[off+c] = int32(vc)
+			vr[c] = int32(vc)
 		}
 	}
 	return t
@@ -266,14 +300,14 @@ func (t *Table) Pool() *Pool { return t.pool }
 func (t *Table) Row(r int) []float64 {
 	pg := t.pages[r/PageRows]
 	off := (r % PageRows) * t.cols
-	return pg.Q[off : off+t.cols : off+t.cols]
+	return pg.buf[off : off+t.cols : off+t.cols]
 }
 
 // VRow returns a read-only view of one row's visit counts.
 func (t *Table) VRow(r int) []int32 {
 	pg := t.pages[r/PageRows]
 	off := (r % PageRows) * t.cols
-	return pg.V[off : off+t.cols : off+t.cols]
+	return visits(pg.buf, t.span())[off : off+t.cols : off+t.cols]
 }
 
 // MutRow returns writable views of one row's values and visit counts,
@@ -281,22 +315,19 @@ func (t *Table) VRow(r int) []int32 {
 func (t *Table) MutRow(r int) ([]float64, []int32) {
 	pi := r / PageRows
 	pg := t.pages[pi]
-	if pg.pooled {
+	if pg.shared != nil {
 		pg = t.fault(pi, pg)
 	}
 	off := (r % PageRows) * t.cols
-	return pg.Q[off : off+t.cols : off+t.cols], pg.V[off : off+t.cols : off+t.cols]
+	return pg.buf[off : off+t.cols : off+t.cols], visits(pg.buf, t.span())[off : off+t.cols : off+t.cols]
 }
 
-// fault replaces a shared page with a private copy — the copy-on-write
-// step. The shared page's values remain visible to every other holder.
-func (t *Table) fault(pi int, shared *Page) *Page {
-	own := &Page{
-		Q: append([]float64(nil), shared.Q...),
-		V: append([]int32(nil), shared.V...),
-	}
+// fault replaces a pooled page with a private copy — the copy-on-write
+// step. The pooled page's values remain visible to every other holder.
+func (t *Table) fault(pi int, pooled *page) *page {
+	own := ownCopy(pooled)
 	t.pages[pi] = own
-	t.pool.release(shared)
+	t.pool.release(pooled)
 	t.pool.faults.Add(1)
 	return own
 }
@@ -305,16 +336,13 @@ func (t *Table) fault(pi int, shared *Page) *Page {
 // deep-copying every owned one. Cloning an interned base is how N sessions
 // come to share one warm-start table.
 func (t *Table) Clone() *Table {
-	nt := &Table{rows: t.rows, cols: t.cols, pool: t.pool, pages: make([]*Page, len(t.pages))}
+	nt := &Table{rows: t.rows, cols: t.cols, pool: t.pool, pages: make([]*page, len(t.pages))}
 	for i, pg := range t.pages {
-		if pg.pooled {
+		if pg.shared != nil {
 			t.pool.acquire(pg)
 			nt.pages[i] = pg
 		} else {
-			nt.pages[i] = &Page{
-				Q: append([]float64(nil), pg.Q...),
-				V: append([]int32(nil), pg.V...),
-			}
+			nt.pages[i] = ownCopy(pg)
 		}
 	}
 	return nt
@@ -330,8 +358,8 @@ func (t *Table) Intern(pool *Pool) {
 	}
 	t.pool = pool
 	for i, pg := range t.pages {
-		if !pg.pooled {
-			t.pages[i] = pool.intern(pg)
+		if pg.shared == nil {
+			t.pages[i] = pool.intern(pg, t.span())
 		}
 	}
 }
@@ -342,7 +370,7 @@ func (t *Table) Intern(pool *Pool) {
 // poisons it.
 func (t *Table) Release() {
 	for i, pg := range t.pages {
-		if pg != nil && pg.pooled {
+		if pg != nil && pg.shared != nil {
 			t.pool.release(pg)
 		}
 		t.pages[i] = nil
@@ -416,7 +444,7 @@ func AppendFloat(b []byte, f float64) ([]byte, error) {
 func (t *Table) SharedPages() int {
 	n := 0
 	for _, pg := range t.pages {
-		if pg != nil && pg.pooled {
+		if pg != nil && pg.shared != nil {
 			n++
 		}
 	}

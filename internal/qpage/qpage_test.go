@@ -2,8 +2,10 @@ package qpage
 
 import (
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func poolEmpty(t *testing.T, p *Pool) {
@@ -206,4 +208,51 @@ func TestConcurrentCloneFaultRelease(t *testing.T) {
 	}
 	base.Release()
 	poolEmpty(t, p)
+}
+
+// faultCost takes faults COW faults on clones of a pooled 25×19 table and
+// returns the bytes, allocations and time the faults took. The clones are
+// built before counting starts, so only the faults are measured.
+func faultCost(faults int) (bytes, mallocs uint64, elapsed time.Duration) {
+	const rows, cols = 25, 19
+	p := NewPool()
+	base := p.NewShared(rows, cols, -1)
+	tabs := make([]*Table, (faults+rows-1)/rows)
+	for i := range tabs {
+		tabs[i] = base.Clone()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < faults; i++ {
+		q, v := tabs[i/rows].MutRow(i % rows)
+		q[0]++
+		v[0]++
+	}
+	elapsed = time.Since(start)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tabs)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, elapsed
+}
+
+// A COW fault on a 19-column table costs its 228 B of data in one
+// 240-B buffer plus a 32-B page header: at most 272 B and 2 allocations.
+func TestCOWFaultCost(t *testing.T) {
+	const faults = 10_000
+	bytes, mallocs, _ := faultCost(faults)
+	perB, perAlloc := float64(bytes)/faults, float64(mallocs)/faults
+	t.Logf("%.1f B and %.3f allocations per COW fault", perB, perAlloc)
+	if perB > 272 || perAlloc > 2 {
+		t.Fatalf("a COW fault costs %.1f B in %.3f allocations, want at most 272 B in 2", perB, perAlloc)
+	}
+}
+
+// BenchmarkCOWFault reports the time, bytes and allocations of one COW
+// fault on a 25×19 table; ns/op also counts building the clones.
+func BenchmarkCOWFault(b *testing.B) {
+	bytes, mallocs, elapsed := faultCost(b.N)
+	n := float64(b.N)
+	b.ReportMetric(float64(elapsed.Nanoseconds())/n, "ns/fault")
+	b.ReportMetric(float64(bytes)/n, "B/fault")
+	b.ReportMetric(float64(mallocs)/n, "allocs/fault")
 }

@@ -248,7 +248,7 @@ func (c *Client) CloseWrite() error {
 // operating-point decision.
 func (c *Client) Decide(session string, obs governor.Observation) (Decision, error) {
 	var out [1]Decision
-	if err := decideBatch(c, []string{session}, []governor.Observation{obs}, out[:], nil); err != nil {
+	if err := decideBatch(c, []string{session}, []governor.Observation{obs}, out[:]); err != nil {
 		return Decision{}, err
 	}
 	return out[0], nil
@@ -267,22 +267,7 @@ func (c *Client) DecideBatch(sessions []string, obs []governor.Observation, out 
 	if len(sessions) == 0 {
 		return nil
 	}
-	return decideBatch(c, sessions, obs, out, nil)
-}
-
-// DecideBatchTraced is DecideBatch with per-request trace ids: a
-// nonzero traces[i] rides request i as the wire trace extension, so the
-// server's decide span stitches to the caller's trace. traces may be
-// nil (all untraced); zero entries leave their requests untraced.
-func (c *Client) DecideBatchTraced(sessions []string, obs []governor.Observation, out []Decision, traces []uint64) error {
-	if len(sessions) != len(obs) || len(sessions) != len(out) || (traces != nil && len(traces) != len(sessions)) {
-		return fmt.Errorf("client: mismatched batch slices (%d sessions, %d observations, %d outputs, %d traces)",
-			len(sessions), len(obs), len(out), len(traces))
-	}
-	if len(sessions) == 0 {
-		return nil
-	}
-	return decideBatch(c, sessions, obs, out, traces)
+	return decideBatch(c, sessions, obs, out)
 }
 
 // reserve claims a batch handle on this connection and publishes bc
@@ -318,7 +303,7 @@ func (cn *conn) unreserve(handle uint32) {
 	cn.mu.Unlock()
 }
 
-func decideBatch(c *Client, sessions []string, obs []governor.Observation, out []Decision, traces []uint64) error {
+func decideBatch(c *Client, sessions []string, obs []governor.Observation, out []Decision) error {
 	n := len(sessions)
 	if n > MaxBatch {
 		return fmt.Errorf("client: batch of %d exceeds the %d-request limit", n, MaxBatch)
@@ -339,11 +324,7 @@ func decideBatch(c *Client, sessions []string, obs []governor.Observation, out [
 	// Encode every frame and flush once.
 	cn.wmu.Lock()
 	for i := 0; i < n && err == nil; i++ {
-		var trace uint64
-		if traces != nil {
-			trace = traces[i]
-		}
-		cn.enc, err = wire.AppendObserveTraced(cn.enc[:0], base|uint32(i), 0, trace, sessions[i], &obs[i])
+		cn.enc, err = wire.AppendObserve(cn.enc[:0], base|uint32(i), sessions[i], &obs[i])
 		if err == nil {
 			_, err = cn.bw.Write(cn.enc)
 		}

@@ -66,7 +66,7 @@ func TestSteadyDecideAllocs(t *testing.T) {
 
 // liveBytesLimit is the live-memory tripwire: the forced-GC heap growth
 // per peak live session, harness overhead included. A decided rtm
-// session sits near 5 KB; 10 KB is the regression line, not the target.
+// session sits near 4.5 KB; 10 KB is the regression line, not the target.
 const liveBytesLimit = 10 * 1024
 
 // liveHeap is the reachable heap: HeapAlloc right after a collection

@@ -310,13 +310,28 @@ func TestRoutedTopKAcrossReplicas(t *testing.T) {
 	}
 	defer cl.Close()
 
-	// Session k decides k times, except t-11, which ties t-10 at 10. An
-	// ondemand session decides most of all but does not learn, so it is
-	// never a top entry.
+	// Session k decides k times, except session 11, which ties session 10
+	// at 10. An ondemand session decides most of all but does not learn,
+	// so it is never a top entry.
 	decides := func(k int) int { return min(k, 10) }
+	// The ring places ids by the replicas' random ports, so probe id
+	// prefixes until the busiest five (sessions 7..11) span at least two
+	// replicas: the merge is then exercised on every run.
+	prefix := ""
+	for c := 't'; prefix == "" && c <= 'z'; c++ {
+		spread := map[string]bool{}
+		for k := 7; k < 12; k++ {
+			owner, _ := rt.Owner(fmt.Sprintf("%c-%02d", c, k))
+			spread[owner] = true
+		}
+		if len(spread) >= 2 {
+			prefix = string(c)
+		}
+	}
+	name := func(k int) string { return fmt.Sprintf("%s-%02d", prefix, k) }
 	owners := map[string]bool{}
 	for k := 0; k < 12; k++ {
-		id := fmt.Sprintf("t-%02d", k)
+		id := name(k)
 		if st, r, err := cl.CreateSession(fmt.Appendf(nil, `{"id":%q,"governor":"rtm","seed":%d}`, id, k)); err != nil || st != http.StatusCreated {
 			t.Fatalf("create %s: status %d err %v (%s)", id, st, err, r)
 		}
@@ -345,7 +360,7 @@ func TestRoutedTopKAcrossReplicas(t *testing.T) {
 	want := []struct {
 		id     string
 		epochs int
-	}{{"t-10", 10}, {"t-11", 10}, {"t-09", 9}, {"t-08", 8}, {"t-07", 7}}
+	}{{name(10), 10}, {name(11), 10}, {name(9), 9}, {name(8), 8}, {name(7), 7}}
 	var m struct {
 		Top []struct {
 			ID     string `json:"id"`
