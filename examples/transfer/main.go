@@ -69,7 +69,6 @@ func main() {
 	cfg.Transfer = table
 	cfg.Epsilon.Epsilon0 = 0.1 // residual exploration only
 	cfg.Epsilon.HoldEpochs = 0
-	cfg.Epsilon.Reset()
 	warm := core.New(cfg)
 	if err := warm.Calibrate(playTrace.MaxPerFrame()); err != nil {
 		log.Fatal(err)

@@ -74,17 +74,17 @@ func (r *RTM) appendState(b []byte) ([]byte, error) {
 	b = append(b, `,"calibrated":`...)
 	b = strconv.AppendBool(b, r.calibrated)
 	b = append(b, `,"epsilon":`...)
-	if b, err = qpage.AppendFloat(b, r.cfg.Epsilon.Epsilon()); err != nil {
+	if b, err = qpage.AppendFloat(b, r.eps.Epsilon()); err != nil {
 		return nil, err
 	}
 	b = append(b, `,"epsilon_epoch":`...)
-	b = strconv.AppendInt(b, int64(r.cfg.Epsilon.Epoch()), 10)
+	b = strconv.AppendInt(b, int64(r.eps.Epoch()), 10)
 	b = append(b, `,"tables":[`...)
-	for i, t := range r.tables {
+	for i := range r.tables {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		if b, err = t.appendJSON(b); err != nil {
+		if b, err = r.tables[i].appendJSON(b); err != nil {
 			return nil, err
 		}
 	}
@@ -151,13 +151,12 @@ func (r *RTM) LoadState(rd io.Reader) error {
 // values between them (the intern is content-addressed, so even separate
 // decodes of the same manifest land on the same pooled pages). Without a
 // pool the live tables are private deep copies, the pre-pool behaviour.
-func (r *RTM) applyRestored(nStates, nActions int) {
+func (r *RTM) applyRestored(pool *qpage.Pool, nStates, nActions int) {
 	cp := r.restored
 	if len(cp.Tables) != len(r.tables) {
 		panic(fmt.Sprintf("core: checkpoint holds %d tables, %s mode on this cluster needs %d",
 			len(cp.Tables), r.cfg.Mode, len(r.tables)))
 	}
-	pool := r.ctx.QPool
 	for i, src := range cp.Tables {
 		if src.States() != nStates || src.Actions() != nActions {
 			panic(fmt.Sprintf("core: checkpoint table is %dx%d, need %dx%d",
@@ -165,17 +164,17 @@ func (r *RTM) applyRestored(nStates, nActions int) {
 		}
 		if pool != nil && (src.tab.Pool() == nil || src.tab.Pool() == pool) {
 			src.Intern(pool) // idempotent after the first Reset
-			r.tables[i] = src.Clone()
+			r.tables[i] = src.clone()
 			continue
 		}
-		dst := NewQTable(nStates, nActions, 0)
+		dst := &r.tables[i]
+		dst.tab = qpage.New(nStates, nActions, 0)
 		for s := 0; s < nStates; s++ {
 			q, v := dst.tab.MutRow(s)
 			copy(q, src.tab.Row(s))
 			copy(v, src.tab.VRow(s))
 		}
-		dst.recomputeRowVisits()
-		r.tables[i] = dst
+		dst.visits = src.visits
 	}
 	r.space.CCMin, r.space.CCMax = cp.CCMin, cp.CCMax
 	r.calibrated = cp.Calibrated

@@ -16,8 +16,8 @@ import (
 // row-major layout QTable.MarshalJSON wrote through encoding/json before
 // the append encoder replaced it.
 func oracleTable(t *QTable) qtableJSON {
-	j := qtableJSON{States: t.states, Actions: t.actions}
-	for s := 0; s < t.states; s++ {
+	j := qtableJSON{States: t.States(), Actions: t.Actions()}
+	for s := range t.States() {
 		j.Q = append(j.Q, t.tab.Row(s)...)
 		for _, v := range t.tab.VRow(s) {
 			j.Visits = append(j.Visits, int(v))
@@ -46,10 +46,10 @@ func oracleState(t *testing.T, r *RTM) []byte {
 	}{
 		Kind: "rtm", Version: 1, Mode: r.cfg.Mode.String(), Levels: r.cfg.Levels,
 		CCMin: r.space.CCMin, CCMax: r.space.CCMax, Calibrated: r.calibrated,
-		Epsilon: r.cfg.Epsilon.Epsilon(), EpsEpoch: r.cfg.Epsilon.Epoch(),
+		Epsilon: r.eps.Epsilon(), EpsEpoch: r.eps.Epoch(),
 	}
-	for _, tab := range r.tables {
-		cp.Tables = append(cp.Tables, oracleTable(tab))
+	for i := range r.tables {
+		cp.Tables = append(cp.Tables, oracleTable(&r.tables[i]))
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(cp); err != nil {

@@ -14,7 +14,8 @@
 //	                   the Table II baseline
 //	SlackTracker     — Eq. 5: the average slack ratio L
 //	Reward           — Eq. 4: R = a·L + b·ΔL (shaped; see reward.go)
-//	EpsilonSchedule  — Eq. 6: exponentially decaying exploration
+//	EpsilonSchedule  — Eq. 6: exponentially decaying exploration (each
+//	                   learner's position on it is an EpsilonState)
 //	RTM              — Section II: the governor tying it together
 //	Normalize        — Eq. 7: per-core workload normalisation for the
 //	                   many-core shared-table formulation
@@ -47,12 +48,13 @@ type StateSpace struct {
 // slack-ratio range of [-0.5, 0.5] (a frame overrunning its deadline by
 // more than 50 % and one finishing more than 50 % early carry no extra
 // information for V-F selection). The workload range must be set by
-// Calibrate or by hand before use.
-func NewStateSpace(levels int) *StateSpace {
+// Calibrate or by hand before use. It is a value: learners hold their
+// state space inline.
+func NewStateSpace(levels int) StateSpace {
 	if levels < 2 {
 		panic(fmt.Sprintf("core: state space needs at least 2 levels, got %d", levels))
 	}
-	return &StateSpace{
+	return StateSpace{
 		Levels:   levels,
 		SlackMin: -0.5,
 		SlackMax: 0.5,
@@ -136,25 +138,16 @@ func (s *StateSpace) quantise(x, lo, hi float64) int {
 // workload maps to 1.0 on every core. A zero total returns all zeros.
 func Normalize(predCC []float64) []float64 {
 	out := make([]float64, len(predCC))
-	copy(out, predCC)
-	return NormalizeInPlace(out)
-}
-
-// NormalizeInPlace is Normalize overwriting its argument — the
-// allocation-free form the decision hot path uses on a scratch buffer. It
-// returns the argument for chaining.
-func NormalizeInPlace(predCC []float64) []float64 {
 	var total float64
 	for _, v := range predCC {
 		total += v
 	}
+	if total <= 0 {
+		return out
+	}
 	c := float64(len(predCC))
 	for i, v := range predCC {
-		if total <= 0 {
-			predCC[i] = 0
-		} else {
-			predCC[i] = v / total * c
-		}
+		out[i] = v / total * c
 	}
-	return predCC
+	return out
 }

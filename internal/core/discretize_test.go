@@ -12,7 +12,7 @@ func calibratedSpace(t *testing.T) *StateSpace {
 	if err := s.Calibrate([]float64{10e6, 20e6, 30e6, 40e6, 50e6}); err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return &s
 }
 
 func TestStateSpaceShape(t *testing.T) {

@@ -32,14 +32,17 @@ import (
 // experiment drives it through DecideMulti.
 type MultiRTM struct {
 	cfg   Config
-	space *StateSpace
+	space StateSpace
 
-	table    *QTable
-	greedy   []int // sticky greedy choice per state
-	rng      *xrand.Rand
-	preds    []*predictor.EWMA // one per application (critical thread)
-	slacks   []*SlackTracker
-	tracker  *governor.ConvergenceTracker
+	table  QTable
+	greedy []int // sticky greedy choice per state
+	rng    *xrand.Rand
+	preds  []predictor.EWMA // one per application (critical thread)
+	slacks []SlackTracker
+	// tracker watches the unmasked BestAction of every state, one slot
+	// per state; DecideMulti reports the one row its update can change.
+	tracker  governor.ConvergenceTracker
+	eps      EpsilonState
 	normFreq []float64
 	nApps    int
 
@@ -94,16 +97,17 @@ func (m *MultiRTM) Calibrate(cycleCounts []float64) error {
 // Reset prepares the controller for a run on the given platform context.
 func (m *MultiRTM) Reset(ctx governor.Context) {
 	m.rng = xrand.New(ctx.Seed)
-	m.table = NewQTable(m.space.NumStates(), ctx.Table.Len(), m.cfg.InitQ)
-	m.greedy = make([]int, m.space.NumStates())
-	m.preds = make([]*predictor.EWMA, m.nApps)
-	m.slacks = make([]*SlackTracker, m.nApps)
+	nStates := m.space.NumStates()
+	m.table = *NewQTable(nStates, ctx.Table.Len(), m.cfg.InitQ)
+	m.greedy = make([]int, nStates)
+	m.preds = make([]predictor.EWMA, m.nApps)
+	m.slacks = make([]SlackTracker, m.nApps)
 	for i := 0; i < m.nApps; i++ {
-		m.preds[i] = predictor.NewEWMA(m.cfg.EWMAGamma)
+		m.preds[i] = *predictor.NewEWMA(m.cfg.EWMAGamma)
 		m.slacks[i] = NewSlackTracker(m.cfg.SlackWindow)
 	}
-	m.cfg.Epsilon.Reset()
-	m.tracker = governor.NewConvergenceTracker(m.cfg.StableEpochs)
+	m.eps = m.cfg.Epsilon.Start()
+	m.tracker.Init(m.cfg.StableEpochs, nStates)
 	if ctx.NormFreq != nil {
 		m.normFreq = ctx.NormFreq // shared read-only precompute
 	} else {
@@ -167,12 +171,18 @@ func (m *MultiRTM) DecideMulti(obs MultiObservation) int {
 		v := float64(m.table.Visits(m.prevState, m.prevAction))
 		alpha = m.cfg.Alpha * m.cfg.AlphaDecayK / (m.cfg.AlphaDecayK + v)
 	}
+	// The update touches one row, so that row's best action is the only
+	// slot of the tracker's fingerprint that can change this epoch.
+	before := m.table.BestAction(m.prevState)
 	m.table.Update(m.prevState, m.prevAction, reward, next, alpha, m.cfg.Discount)
+	if m.table.BestAction(m.prevState) != before {
+		m.tracker.Flip(m.prevState)
+	}
 	m.greedy[m.prevState] = m.table.BestActionSticky(m.prevState, m.greedy[m.prevState], m.cfg.GreedyMargin)
 	m.prevState = next
 
 	var action int
-	if m.rng.Float64() < m.cfg.Epsilon.Epsilon() {
+	if m.rng.Float64() < m.eps.Epsilon() {
 		action = m.cfg.Policy.Sample(m.rng, m.table.Actions(), minSlack, m.normFreq)
 		m.explorations++
 	} else {
@@ -181,8 +191,8 @@ func (m *MultiRTM) DecideMulti(obs MultiObservation) int {
 
 	// ε advances on the binding app's distance from the target: until the
 	// worst-off application is stable, keep exploring.
-	m.tracker.Observe(m.table.GreedyPolicy())
-	m.cfg.Epsilon.Advance(m.slacks[binding].L()-m.cfg.Reward.Target, m.tracker.Quiet())
+	m.tracker.Observe()
+	m.eps.Advance(m.cfg.Epsilon, m.slacks[binding].L()-m.cfg.Reward.Target, m.tracker.Quiet())
 	m.epoch++
 	m.prevAction = action
 	return action

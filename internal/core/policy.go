@@ -126,6 +126,10 @@ func (p *ExponentialPolicy) Sample(rng *xrand.Rand, actions int, slack float64, 
 // the target. Tying exploration to learning progress is what lets an
 // exploration policy that learns faster also *stop exploring* sooner —
 // the Table II effect.
+//
+// A schedule holds only the curve's parameters and is never written
+// while learners run, so one schedule serves any number of them. Each
+// learner keeps its own position on the curve in an EpsilonState.
 type EpsilonSchedule struct {
 	// Epsilon0 is the initial exploration probability.
 	Epsilon0 float64
@@ -145,15 +149,12 @@ type EpsilonSchedule struct {
 	BandBoost float64
 	// StableBand is the |slack − target| threshold for BandBoost.
 	StableBand float64
-
-	eps   float64
-	epoch int
 }
 
 // NewEpsilonSchedule returns the schedule used in the experiments: hold
 // for 110 epochs, then a sharp handover to exploitation.
 func NewEpsilonSchedule() *EpsilonSchedule {
-	s := &EpsilonSchedule{
+	return &EpsilonSchedule{
 		Epsilon0:   0.9,
 		HoldEpochs: 110,
 		Decay:      0.040,
@@ -161,37 +162,34 @@ func NewEpsilonSchedule() *EpsilonSchedule {
 		BandBoost:  0.004,
 		StableBand: 0.15,
 	}
-	s.Reset()
-	return s
 }
 
-// Reset restores ε to ε₀ and the epoch clock to zero.
-func (s *EpsilonSchedule) Reset() {
-	s.eps = s.Epsilon0
-	s.epoch = 0
+// Start returns the position at the start of the schedule: ε₀ at epoch
+// zero.
+func (s *EpsilonSchedule) Start() EpsilonState { return EpsilonState{eps: s.Epsilon0} }
+
+// EpsilonState is one learner's position on an EpsilonSchedule: the
+// current ε and the number of epochs advanced since Start. A checkpoint
+// records both, so a warm-started learner resumes exploitation where the
+// training run left off instead of re-paying the hold-then-decay
+// exploration phase.
+type EpsilonState struct {
+	eps   float64
+	epoch int
 }
 
 // Epsilon returns the current exploration probability.
-func (s *EpsilonSchedule) Epsilon() float64 { return s.eps }
+func (e *EpsilonState) Epsilon() float64 { return e.eps }
 
-// Epoch returns the number of Advance calls since the last Reset — the
-// schedule's position on its decay curve.
-func (s *EpsilonSchedule) Epoch() int { return s.epoch }
+// Epoch returns the number of Advance calls since Start — the position on
+// the decay curve.
+func (e *EpsilonState) Epoch() int { return e.epoch }
 
-// Restore places the schedule at a checkpointed position: the given ε and
-// epoch clock, as read back by Epsilon and Epoch. A warm-started learner
-// resumes exploitation where the training run left off instead of
-// re-paying the hold-then-decay exploration phase.
-func (s *EpsilonSchedule) Restore(eps float64, epoch int) {
-	s.eps = eps
-	s.epoch = epoch
-}
-
-// Advance decays ε by one epoch given the epoch's slack error and whether
-// the greedy policy is currently quiet.
-func (s *EpsilonSchedule) Advance(slackError float64, quiet bool) {
-	s.epoch++
-	if s.epoch <= s.HoldEpochs {
+// Advance decays ε by one epoch of schedule s given the epoch's slack
+// error and whether the greedy policy is currently quiet.
+func (e *EpsilonState) Advance(s *EpsilonSchedule, slackError float64, quiet bool) {
+	e.epoch++
+	if e.epoch <= s.HoldEpochs {
 		return
 	}
 	d := s.Decay
@@ -201,5 +199,5 @@ func (s *EpsilonSchedule) Advance(slackError float64, quiet bool) {
 	if math.Abs(slackError) <= s.StableBand {
 		d += s.BandBoost
 	}
-	s.eps *= math.Exp(-d)
+	e.eps *= math.Exp(-d)
 }

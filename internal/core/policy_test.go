@@ -130,21 +130,22 @@ func TestEPDZeroBetaIsUniform(t *testing.T) {
 
 func TestEpsilonScheduleHoldsThenDecays(t *testing.T) {
 	s := NewEpsilonSchedule()
-	if s.Epsilon() != s.Epsilon0 {
-		t.Fatalf("initial ε = %v, want ε0", s.Epsilon())
+	e := s.Start()
+	if e.Epsilon() != s.Epsilon0 {
+		t.Fatalf("initial ε = %v, want ε0", e.Epsilon())
 	}
 	// During the hold phase ε stays at ε0.
 	for i := 0; i < s.HoldEpochs; i++ {
-		s.Advance(0.5, false)
-		if s.Epsilon() != s.Epsilon0 {
-			t.Fatalf("ε moved during hold at epoch %d: %v", i, s.Epsilon())
+		e.Advance(s, 0.5, false)
+		if e.Epsilon() != s.Epsilon0 {
+			t.Fatalf("ε moved during hold at epoch %d: %v", i, e.Epsilon())
 		}
 	}
 	// After the hold it decays monotonically.
 	for i := 0; i < 100; i++ {
-		prev := s.Epsilon()
-		s.Advance(0.5, false)
-		if s.Epsilon() >= prev {
+		prev := e.Epsilon()
+		e.Advance(s, 0.5, false)
+		if e.Epsilon() >= prev {
 			t.Fatal("ε did not decay after the hold")
 		}
 	}
@@ -153,18 +154,14 @@ func TestEpsilonScheduleHoldsThenDecays(t *testing.T) {
 func TestEpsilonBoostSignals(t *testing.T) {
 	// Both acceleration signals must shorten exploration relative to the
 	// base clock when they are enabled.
-	base := NewEpsilonSchedule()
-	quiet := NewEpsilonSchedule()
-	inBand := NewEpsilonSchedule()
-	for _, sch := range []*EpsilonSchedule{base, quiet, inBand} {
-		sch.HoldEpochs = 0 // test the decay phase directly
-		sch.BoostDecay, sch.BandBoost = 0.02, 0.01
-		sch.Reset()
-	}
+	s := NewEpsilonSchedule()
+	s.HoldEpochs = 0 // test the decay phase directly
+	s.BoostDecay, s.BandBoost = 0.02, 0.01
+	base, quiet, inBand := s.Start(), s.Start(), s.Start()
 	for i := 0; i < 50; i++ {
-		base.Advance(0.5, false)
-		quiet.Advance(0.5, true)    // quiet policy: BoostDecay applies
-		inBand.Advance(0.01, false) // slack in band: BandBoost applies
+		base.Advance(s, 0.5, false)
+		quiet.Advance(s, 0.5, true)    // quiet policy: BoostDecay applies
+		inBand.Advance(s, 0.01, false) // slack in band: BandBoost applies
 	}
 	if !(quiet.Epsilon() < base.Epsilon()) {
 		t.Fatalf("quiet ε %v not below base ε %v", quiet.Epsilon(), base.Epsilon())
@@ -174,12 +171,19 @@ func TestEpsilonBoostSignals(t *testing.T) {
 	}
 }
 
+// Advancing a position leaves its schedule untouched, so Start after any
+// amount of learning is back at ε0 and epoch zero.
 func TestEpsilonReset(t *testing.T) {
 	s := NewEpsilonSchedule()
-	s.Advance(0, true)
-	s.Reset()
-	if s.Epsilon() != s.Epsilon0 {
-		t.Fatal("Reset did not restore ε0")
+	e := s.Start()
+	for range s.HoldEpochs + 5 {
+		e.Advance(s, 0, true)
+	}
+	if *s != *NewEpsilonSchedule() {
+		t.Fatalf("Advance wrote to its schedule: %+v", *s)
+	}
+	if e = s.Start(); e.Epsilon() != s.Epsilon0 || e.Epoch() != 0 {
+		t.Fatal("Start did not restore ε0 at epoch 0")
 	}
 }
 

@@ -26,19 +26,14 @@ import (
 // pool shares immutable pages with every other table of identical content
 // — all cold sessions on one platform, all sessions warm-started from one
 // manifest — and Update copies only the touched page before its first
-// write. rowVisits stays per-table: the convergence tracker reads it for
-// every state on every decision, it is tiny, and keeping it private means
-// the hot read path never consults the pool.
+// write. The qpage header sits inline, so a table is one value its owner
+// holds directly (the RTM keeps its tables in one slice) and the only
+// per-table state beside the pages is the running visit total. The
+// convergence tracker needs nothing else: it looks at the one row each
+// update touches (RowVisits), never at every state.
 type QTable struct {
-	states  int
-	actions int
-	tab     *qpage.Table
-	// rowVisits caches per-state visit totals. The convergence tracker
-	// reads RowVisits for every state on every decision, which made the
-	// O(actions) sum the single hottest path of the decision service;
-	// the cache turns it into a load. Totals are int32 like the per-pair
-	// counts they sum (see qpage).
-	rowVisits []int32
+	tab    qpage.Table
+	visits int // total updates across all states and actions
 }
 
 // NewQTable creates a table with every entry at initQ, with private
@@ -47,40 +42,14 @@ func NewQTable(states, actions int, initQ float64) *QTable {
 	if states < 1 || actions < 1 {
 		panic(fmt.Sprintf("core: QTable(%d states, %d actions)", states, actions))
 	}
-	return &QTable{
-		states:    states,
-		actions:   actions,
-		tab:       qpage.New(states, actions, initQ),
-		rowVisits: make([]int32, states),
-	}
+	return &QTable{tab: qpage.New(states, actions, initQ)}
 }
 
-// NewQTableShared creates a table with every entry at initQ whose pages
-// are interned in pool: every table so created shares one uniform page
-// until its first update faults a private copy.
-func NewQTableShared(pool *qpage.Pool, states, actions int, initQ float64) *QTable {
-	if states < 1 || actions < 1 {
-		panic(fmt.Sprintf("core: QTable(%d states, %d actions)", states, actions))
-	}
-	return &QTable{
-		states:    states,
-		actions:   actions,
-		tab:       pool.NewShared(states, actions, initQ),
-		rowVisits: make([]int32, states),
-	}
-}
-
-// Clone returns a table sharing every pooled page of t (and deep-copying
+// clone returns a table sharing every pooled page of t (and deep-copying
 // private ones) — how sessions warm-started from one interned base table
 // come to share its storage.
-func (t *QTable) Clone() *QTable {
-	nt := &QTable{
-		states:    t.states,
-		actions:   t.actions,
-		tab:       t.tab.Clone(),
-		rowVisits: append([]int32(nil), t.rowVisits...),
-	}
-	return nt
+func (t *QTable) clone() QTable {
+	return QTable{tab: t.tab.Clone(), visits: t.visits}
 }
 
 // Intern publishes t's pages into pool, deduplicating against identical
@@ -89,32 +58,22 @@ func (t *QTable) Intern(pool *qpage.Pool) { t.tab.Intern(pool) }
 
 // Release returns t's pooled page references to the pool. The table is
 // unusable afterwards; sessions call it exactly once, on delete.
-func (t *QTable) Release() {
-	if t.tab != nil {
-		t.tab.Release()
-	}
-}
+func (t *QTable) Release() { t.tab.Release() }
 
-// recomputeRowVisits rebuilds the per-state cache from visits — the
+// recountVisits recomputes the visit total from the stored counts — the
 // deserialisation paths call it after replacing the underlying storage.
-func (t *QTable) recomputeRowVisits() {
-	if len(t.rowVisits) != t.states {
-		t.rowVisits = make([]int32, t.states)
-	}
-	for s := 0; s < t.states; s++ {
-		var sum int32
-		for _, v := range t.tab.VRow(s) {
-			sum += v
-		}
-		t.rowVisits[s] = sum
+func (t *QTable) recountVisits() {
+	t.visits = 0
+	for s := range t.States() {
+		t.visits += t.RowVisits(s)
 	}
 }
 
 // States returns |S|.
-func (t *QTable) States() int { return t.states }
+func (t *QTable) States() int { return t.tab.Rows() }
 
 // Actions returns |A|.
-func (t *QTable) Actions() int { return t.actions }
+func (t *QTable) Actions() int { return t.tab.Cols() }
 
 // Q returns the value of (state, action).
 func (t *QTable) Q(state, action int) float64 {
@@ -128,22 +87,19 @@ func (t *QTable) Visits(state, action int) int {
 	return int(t.tab.VRow(state)[action])
 }
 
-// RowVisits returns the total updates state has received across actions.
+// RowVisits returns the total updates state has received across actions,
+// summed from the row's counts (O(actions)).
 func (t *QTable) RowVisits(state int) int {
-	if state < 0 || state >= t.states {
-		panic(fmt.Sprintf("core: state %d outside [0,%d)", state, t.states))
-	}
-	return int(t.rowVisits[state])
-}
-
-// VisitTotal returns the total updates across all states and actions.
-func (t *QTable) VisitTotal() int {
+	t.checkState(state)
 	n := 0
-	for _, v := range t.rowVisits {
+	for _, v := range t.tab.VRow(state) {
 		n += int(v)
 	}
 	return n
 }
+
+// VisitTotal returns the total updates across all states and actions.
+func (t *QTable) VisitTotal() int { return t.visits }
 
 // Update applies Bellman's optimality equation (Eq. 3):
 //
@@ -158,7 +114,7 @@ func (t *QTable) Update(state, action int, reward float64, nextState int, alpha,
 	q, v := t.tab.MutRow(state)
 	q[action] = (1-alpha)*q[action] + alpha*(reward+discount*best)
 	v[action]++
-	t.rowVisits[state]++
+	t.visits++
 }
 
 // UpdateSARSA applies the on-policy temporal-difference update:
@@ -177,7 +133,7 @@ func (t *QTable) UpdateSARSA(state, action int, reward float64, nextState, nextA
 	q, v := t.tab.MutRow(state)
 	q[action] = (1-alpha)*q[action] + alpha*(reward+discount*next)
 	v[action]++
-	t.rowVisits[state]++
+	t.visits++
 }
 
 // MaxQ returns max over actions of Q(state, ·).
@@ -224,9 +180,10 @@ func (t *QTable) BestActionSticky(state, current int, margin float64) int {
 }
 
 // GreedyPolicy returns the best action for every state — the fingerprint
-// the convergence tracker watches.
+// MultiRTM's convergence tracker watches, which it follows one updated
+// row at a time rather than by building this slice.
 func (t *QTable) GreedyPolicy() []int16 {
-	out := make([]int16, t.states)
+	out := make([]int16, t.States())
 	for s := range out {
 		out[s] = int16(t.BestAction(s))
 	}
@@ -241,15 +198,19 @@ func (t *QTable) Row(state int) []float64 {
 // row returns a read-only view of one state's action values; the view may
 // alias a shared page.
 func (t *QTable) row(state int) []float64 {
-	if state < 0 || state >= t.states {
-		panic(fmt.Sprintf("core: state %d outside [0,%d)", state, t.states))
-	}
+	t.checkState(state)
 	return t.tab.Row(state)
 }
 
+func (t *QTable) checkState(state int) {
+	if state < 0 || state >= t.States() {
+		panic(fmt.Sprintf("core: state %d outside [0,%d)", state, t.States()))
+	}
+}
+
 func (t *QTable) check(state, action int) {
-	if state < 0 || state >= t.states || action < 0 || action >= t.actions {
-		panic(fmt.Sprintf("core: (%d,%d) outside %dx%d table", state, action, t.states, t.actions))
+	if state < 0 || state >= t.States() || action < 0 || action >= t.Actions() {
+		panic(fmt.Sprintf("core: (%d,%d) outside %dx%d table", state, action, t.States(), t.Actions()))
 	}
 }
 
@@ -269,9 +230,9 @@ type qtableJSON struct {
 // Q-value is an error and leaves b unchanged.
 func (t *QTable) appendJSON(b []byte) ([]byte, error) {
 	out := append(b, `{"states":`...)
-	out = strconv.AppendInt(out, int64(t.states), 10)
+	out = strconv.AppendInt(out, int64(t.States()), 10)
 	out = append(out, `,"actions":`...)
-	out = strconv.AppendInt(out, int64(t.actions), 10)
+	out = strconv.AppendInt(out, int64(t.Actions()), 10)
 	out = append(out, `,"q":`...)
 	out, err := t.tab.AppendQ(out)
 	if err != nil {
@@ -312,13 +273,10 @@ func (t *QTable) UnmarshalJSON(b []byte) error {
 			return fmt.Errorf("core: Q-table is inconsistent: Visits(%d,%d) = %d", i/j.Actions, i%j.Actions, v)
 		}
 	}
-	if t.tab != nil {
-		// Re-unmarshalling into a live table must not strand pool refs.
-		t.tab.Release()
-	}
-	t.states, t.actions = j.States, j.Actions
+	// Re-unmarshalling into a live table must not strand pool refs.
+	t.tab.Release()
 	t.tab = qpage.FromFlat(j.States, j.Actions, j.Q, j.Visits)
-	t.recomputeRowVisits()
+	t.recountVisits()
 	return nil
 }
 

@@ -28,12 +28,13 @@ type SlackTracker struct {
 	last  float64
 }
 
-// NewSlackTracker returns a tracker with the given window.
-func NewSlackTracker(window int) *SlackTracker {
+// NewSlackTracker returns a tracker with the given window. It is a value:
+// learners hold their trackers inline.
+func NewSlackTracker(window int) SlackTracker {
 	if window < 0 {
 		panic(fmt.Sprintf("core: negative slack window %d", window))
 	}
-	return &SlackTracker{Window: window}
+	return SlackTracker{Window: window}
 }
 
 // Observe folds in one epoch: completion time (T_i + T_OVH) against the

@@ -6,6 +6,7 @@ import (
 
 	"qgov/internal/governor"
 	"qgov/internal/predictor"
+	"qgov/internal/qpage"
 	"qgov/internal/xrand"
 )
 
@@ -41,6 +42,11 @@ func (m Mode) String() string {
 // Config parameterises the RTM. DefaultConfig returns the values used in
 // the paper's experiments; zero-value fields in a caller-built Config are
 // not defaulted — construct via DefaultConfig and override.
+//
+// A Config is read-only to the learners built from it, and so are the
+// Reward, Policy, Epsilon schedule and Transfer table it points to: every
+// learner keeps its own ε position, tables and trackers. The registered
+// governors build one Config each and every session shares it.
 type Config struct {
 	Levels int     // N discretisation levels (paper: 5)
 	Alpha  float64 // initial Q-learning rate α (Eq. 3)
@@ -107,34 +113,39 @@ func DefaultConfig() Config {
 // selects a V-F action (EPD exploration, Eq. 2, under an ε schedule,
 // Eq. 6; greedy exploitation otherwise) and updates the Q-table with the
 // slack-derived pay-off (Eqs. 3–5). It implements governor.Governor.
+//
+// An RTM holds only per-session state: its Config is shared (see Config),
+// and the state space, slack tracker, convergence tracker and ε position
+// sit inline rather than behind pointers of their own.
 type RTM struct {
-	cfg   Config
-	space *StateSpace
+	cfg   *Config
+	space StateSpace
 
-	ctx governor.Context
+	numCores int
+	seed     int64
 	// rng is built lazily on the first ε draw: even at xrand's 8-byte
 	// state a freshly created session that has never decided should not
 	// pay the allocation. Laziness is stream-identical — no draw happens
 	// between Reset and the first selectAction either way.
 	rng    *xrand.Rand
-	tables []*QTable // one (shared) or NumCores (per-core)
+	tables []QTable // one (shared) or NumCores (per-core)
 	// greedy holds the sticky greedy choice of every table's states,
 	// table-major: greedy[t*NumStates()+s]. Reset rejects OPP tables
 	// longer than a uint8 can index.
-	greedy     []uint8
-	preds      []predictor.EWMA
-	slack      *SlackTracker
-	tracker    *governor.ConvergenceTracker
+	greedy []uint8
+	preds  []predictor.EWMA
+	slack  SlackTracker
+	// tracker watches one fingerprint slot per greedy entry: the greedy
+	// choice, or -1 while the row has fewer than governor.MinRowVisits
+	// updates (see refreshGreedy, which reports the slot an update
+	// changes).
+	tracker    governor.ConvergenceTracker
+	eps        EpsilonState
 	normFreq   []float64 // per-action normalised frequency (Eq. 2 axis)
 	prevState  []int     // per table
 	prevAction int
 	lastCtrl   int // controller of the epoch in flight (per-core mode)
 	epoch      int
-
-	// Per-epoch scratch, reused so Decide allocates nothing in steady
-	// state.
-	fpScratch   []int16
-	predScratch []float64
 
 	explorations  int
 	exploredPairs []uint64 // distinct (table, state, action) experiments, one bit each
@@ -155,8 +166,13 @@ type RTM struct {
 	restored *rtmCheckpoint
 }
 
-// New constructs an RTM from the configuration.
-func New(cfg Config) *RTM {
+// New constructs an RTM from the configuration. The RTM keeps its own
+// copy of cfg (the structures cfg points to are shared, read-only).
+func New(cfg Config) *RTM { return newRTM(&cfg) }
+
+// newRTM constructs an RTM reading cfg, which it shares with every other
+// RTM built from the same pointer and never writes.
+func newRTM(cfg *Config) *RTM {
 	if cfg.Levels < 2 {
 		panic(fmt.Sprintf("core: RTM needs at least 2 levels, got %d", cfg.Levels))
 	}
@@ -206,14 +222,14 @@ func (r *RTM) ConvergedAtEpoch() int { return r.tracker.ConvergedAt() }
 
 // Epsilon implements governor.ExplorationStats: the current exploration
 // probability.
-func (r *RTM) Epsilon() float64 { return r.cfg.Epsilon.Epsilon() }
+func (r *RTM) Epsilon() float64 { return r.eps.Epsilon() }
 
 // VisitTotal implements governor.ExplorationStats: total state–action
 // visits across the value tables.
 func (r *RTM) VisitTotal() int {
 	n := 0
-	for _, t := range r.tables {
-		n += t.VisitTotal()
+	for i := range r.tables {
+		n += r.tables[i].VisitTotal()
 	}
 	return n
 }
@@ -235,19 +251,23 @@ func (r *RTM) PredictedCC() []float64 {
 	return out
 }
 
-// predictInto fills the scratch buffer with the per-core forecasts — the
-// allocation-free PredictedCC the decision path uses.
-func (r *RTM) predictInto(dst []float64) []float64 {
-	dst = dst[:len(r.preds)]
+// normalizedShare returns core c's Eq. 7 share of the forecast workload,
+// Normalize(PredictedCC())[c], without materialising the other cores'
+// shares: the same sum and the same division, so the same bits.
+func (r *RTM) normalizedShare(c int) float64 {
+	var total float64
 	for i := range r.preds {
-		dst[i] = r.preds[i].Predict()
+		total += r.preds[i].Predict()
 	}
-	return dst
+	if total <= 0 {
+		return 0
+	}
+	return r.preds[c].Predict() / total * float64(len(r.preds))
 }
 
 // Table returns the shared Q-table (or core 0's in per-core mode), for
 // learning transfer and inspection.
-func (r *RTM) Table() *QTable { return r.tables[0] }
+func (r *RTM) Table() *QTable { return &r.tables[0] }
 
 // Calibrate sets the workload state range from a pre-characterisation
 // series of per-epoch critical-path cycle counts (the paper's design-space
@@ -263,10 +283,8 @@ func (r *RTM) Calibrate(cycleCounts []float64) error {
 // releaseTables returns every pooled page reference the current tables
 // hold. Safe on nil and on partially built slices.
 func (r *RTM) releaseTables() {
-	for _, t := range r.tables {
-		if t != nil {
-			t.Release()
-		}
+	for i := range r.tables {
+		r.tables[i].Release()
 	}
 }
 
@@ -289,8 +307,9 @@ func (r *RTM) ReleaseState() {
 
 // Reset implements governor.Governor.
 func (r *RTM) Reset(ctx governor.Context) {
-	r.ctx = ctx
-	r.rng = nil // rebuilt lazily from ctx.Seed on the first ε draw
+	r.numCores = ctx.NumCores
+	r.seed = ctx.Seed
+	r.rng = nil // rebuilt lazily from the seed on the first ε draw
 	nTables := 1
 	if r.cfg.Mode == PerCoreTables {
 		nTables = ctx.NumCores
@@ -301,11 +320,11 @@ func (r *RTM) Reset(ctx governor.Context) {
 		panic(fmt.Sprintf("core: %d-point OPP table exceeds the RTM's %d-action limit", nActions, math.MaxUint8+1))
 	}
 	r.releaseTables()
-	r.tables = make([]*QTable, nTables)
+	r.tables = make([]QTable, nTables)
 	if r.restored != nil {
 		// A staged checkpoint outranks Config.Transfer: it carries visit
 		// counts and the state-space range as well as the Q-values.
-		r.applyRestored(nStates, nActions)
+		r.applyRestored(ctx.QPool, nStates, nActions)
 	} else {
 		for i := range r.tables {
 			switch {
@@ -315,21 +334,21 @@ func (r *RTM) Reset(ctx governor.Context) {
 						r.cfg.Transfer.States(), r.cfg.Transfer.Actions(), nStates, nActions))
 				}
 				// Copy so concurrent runs cannot share mutable state.
-				t := NewQTable(nStates, nActions, 0)
+				t := &r.tables[i]
+				t.tab = qpage.New(nStates, nActions, 0)
 				for s := 0; s < nStates; s++ {
 					row, _ := t.tab.MutRow(s)
 					for a := range row {
 						row[a] = r.cfg.Transfer.Q(s, a)
 					}
 				}
-				r.tables[i] = t
 			case ctx.QPool != nil:
 				// Cold start through the pool: every cold session on this
 				// platform references the same uniform InitQ page until
 				// its first update faults a private copy.
-				r.tables[i] = NewQTableShared(ctx.QPool, nStates, nActions, r.cfg.InitQ)
+				r.tables[i].tab = ctx.QPool.NewShared(nStates, nActions, r.cfg.InitQ)
 			default:
-				r.tables[i] = NewQTable(nStates, nActions, r.cfg.InitQ)
+				r.tables[i].tab = qpage.New(nStates, nActions, r.cfg.InitQ)
 			}
 		}
 	}
@@ -338,17 +357,17 @@ func (r *RTM) Reset(ctx governor.Context) {
 		r.preds[i] = *predictor.NewEWMA(r.cfg.EWMAGamma)
 	}
 	r.greedy = make([]uint8, nTables*nStates)
-	for i, t := range r.tables {
+	for i := range r.tables {
 		for s := range nStates {
-			r.greedy[i*nStates+s] = uint8(t.BestAction(s))
+			r.greedy[i*nStates+s] = uint8(r.tables[i].BestAction(s))
 		}
 	}
 	r.slack = NewSlackTracker(r.cfg.SlackWindow)
-	r.cfg.Epsilon.Reset()
+	r.eps = r.cfg.Epsilon.Start()
 	if r.restored != nil {
-		r.cfg.Epsilon.Restore(r.restored.Epsilon, r.restored.EpsEpoch)
+		r.eps = EpsilonState{eps: r.restored.Epsilon, epoch: r.restored.EpsEpoch}
 	}
-	r.tracker = governor.NewConvergenceTracker(r.cfg.StableEpochs)
+	r.tracker.Init(r.cfg.StableEpochs, nTables*nStates)
 	// Two flips per window: one for a state crossing the visit threshold
 	// into the fingerprint, one for a genuine late adjustment.
 	r.tracker.MaxFlips = 2
@@ -357,8 +376,6 @@ func (r *RTM) Reset(ctx governor.Context) {
 	} else {
 		r.normFreq = ctx.Table.NormFreqs()
 	}
-	r.fpScratch = make([]int16, nTables*nStates)
-	r.predScratch = make([]float64, ctx.NumCores)
 	r.prevState = make([]int, nTables)
 	r.prevAction = 0
 	r.lastCtrl = 0
@@ -433,9 +450,10 @@ func (r *RTM) Decide(obs governor.Observation) int {
 	// — hand over to exploitation once learning stops moving). This is
 	// where EPD earns its Table II advantage: slack-directed exploration
 	// ranks the useful actions sooner, the policy goes quiet sooner, and ε
-	// collapses with it.
-	r.tracker.Observe(r.greedyFingerprint())
-	r.cfg.Epsilon.Advance(inst-r.cfg.Reward.Target, r.tracker.Quiet())
+	// collapses with it. The epoch's one update has already reported its
+	// fingerprint change, if any (refreshGreedy).
+	r.tracker.Observe()
+	r.eps.Advance(r.cfg.Epsilon, inst-r.cfg.Reward.Target, r.tracker.Quiet())
 	if c := r.tracker.ConvergedAt(); c != r.convAt {
 		r.convAt = c
 		if c >= 0 {
@@ -456,7 +474,7 @@ func (r *RTM) Decide(obs governor.Observation) int {
 func (r *RTM) decideShared(slack, reward float64) int {
 	ctrl := -1 // critical-core state
 	if r.cfg.UseNormalizedState {
-		ctrl = r.epoch % r.ctx.NumCores
+		ctrl = r.epoch % r.numCores
 	}
 	next := r.stateFor(ctrl, slack)
 	if r.cfg.OnPolicy {
@@ -482,10 +500,14 @@ func (r *RTM) effectiveAlpha(t, state, action int) float64 {
 	return r.cfg.Alpha * r.cfg.AlphaDecayK / (r.cfg.AlphaDecayK + v)
 }
 
-// refreshGreedy re-evaluates the sticky greedy choice of one state.
+// refreshGreedy re-evaluates the sticky greedy choice of one state just
+// updated and reports the change of its fingerprint slot, the only slot
+// the epoch can change, to the tracker.
 func (r *RTM) refreshGreedy(t, state int) {
-	g := &r.greedy[t*r.space.NumStates()+state]
-	*g = uint8(r.tables[t].BestActionSticky(state, int(*g), r.cfg.GreedyMargin))
+	i := t*r.space.NumStates() + state
+	before := r.greedy[i]
+	r.greedy[i] = uint8(r.tables[t].BestActionSticky(state, int(before), r.cfg.GreedyMargin))
+	r.tracker.RowUpdated(i, r.tables[t].RowVisits(state), int(before), int(r.greedy[i]))
 }
 
 // decidePerCore runs the rotating independent-table scheme: the epoch's
@@ -499,7 +521,7 @@ func (r *RTM) decidePerCore(slack, reward float64) int {
 	r.updateTable(last, r.prevState[last], r.prevAction, reward, nextLast)
 	r.prevState[last] = nextLast
 
-	ctrl := r.epoch % r.ctx.NumCores
+	ctrl := r.epoch % r.numCores
 	next := r.stateFor(ctrl, slack)
 	r.prevState[ctrl] = next
 	r.lastCtrl = ctrl
@@ -520,7 +542,7 @@ func (r *RTM) stateFor(c int, slack float64) int {
 			}
 		}
 	case r.cfg.UseNormalizedState:
-		cc = NormalizeInPlace(r.predictInto(r.predScratch))[c]
+		cc = r.normalizedShare(c)
 	default:
 		cc = r.preds[c].Predict()
 	}
@@ -546,9 +568,9 @@ func (r *RTM) selectAction(t, state int, l float64) int {
 
 func (r *RTM) selectActionNoCount(t, state int, l float64) (int, bool) {
 	if r.rng == nil {
-		r.rng = xrand.New(r.ctx.Seed)
+		r.rng = xrand.New(r.seed)
 	}
-	if r.rng.Float64() < r.cfg.Epsilon.Epsilon() {
+	if r.rng.Float64() < r.eps.Epsilon() {
 		a := r.cfg.Policy.Sample(r.rng, r.tables[t].Actions(), l, r.normFreq)
 		key := (t*r.space.NumStates()+state)*r.tables[t].Actions() + a
 		if r.exploredPairs[key>>6]&(1<<uint(key&63)) == 0 {
@@ -560,37 +582,20 @@ func (r *RTM) selectActionNoCount(t, state int, l float64) (int, bool) {
 	return int(r.greedy[t*r.space.NumStates()+state]), false
 }
 
-// greedyFingerprint concatenates the sticky greedy policies of all tables,
-// masking states with fewer than minRowVisits updates: an under-sampled
-// row has not learnt anything yet, so its (still essentially random)
-// greedy choice flipping must not count as "the policy is still moving".
-// A state entering the fingerprint as it crosses the threshold costs one
-// tolerated flip.
-func (r *RTM) greedyFingerprint() []int16 {
-	const minRowVisits = 20
-	nStates := r.space.NumStates()
-	for i, a := range r.greedy {
-		if r.tables[i/nStates].RowVisits(i%nStates) < minRowVisits {
-			r.fpScratch[i] = -1
-		} else {
-			r.fpScratch[i] = int16(a)
-		}
-	}
-	return r.fpScratch
+// register makes cfg available as a named governor. Every governor the
+// name constructs shares the one Config.
+func register(name string, cfg Config) {
+	governor.Register(name, func() governor.Governor { return newRTM(&cfg) })
 }
 
 func init() {
-	governor.Register("rtm", func() governor.Governor { return New(DefaultConfig()) })
-	governor.Register("rtm-percore", func() governor.Governor {
-		cfg := DefaultConfig()
-		cfg.Mode = PerCoreTables
-		return New(cfg)
-	})
-	governor.Register("updrl", func() governor.Governor {
-		cfg := DefaultConfig()
-		cfg.Policy = UniformPolicy{}
-		return New(cfg)
-	})
+	register("rtm", DefaultConfig())
+	percore := DefaultConfig()
+	percore.Mode = PerCoreTables
+	register("rtm-percore", percore)
+	upd := DefaultConfig()
+	upd.Policy = UniformPolicy{}
+	register("updrl", upd)
 }
 
 // autoRange maintains the workload state range when no pre-characterisation

@@ -182,7 +182,6 @@ func TestRTMLearningTransferSkipsExploration(t *testing.T) {
 	cfg.Transfer = first.Table()
 	// Transfer implies starting largely in exploitation.
 	cfg.Epsilon = &EpsilonSchedule{Epsilon0: 0.1, Decay: 0.05, BoostDecay: 0.1, StableBand: 0.08}
-	cfg.Epsilon.Reset()
 	second := New(cfg)
 	second.Calibrate([]float64{20e6, 30e6, 40e6})
 	driveSteady(second, 30e6, 1200)
@@ -262,4 +261,79 @@ func TestRTMResetRejectsOversizedOPPTable(t *testing.T) {
 		}
 	}()
 	New(DefaultConfig()).Reset(ctx)
+}
+
+// Learners built from one Config value decide exactly as learners built
+// from separate ones: the ε schedule a Config points to is read-only, and
+// each learner keeps its own position on it. (Sharing the position made
+// two RTMs advance one ε twice per epoch.)
+func TestLearnersFromOneConfigKeepTheirOwnEpsilon(t *testing.T) {
+	const epochs = 400
+	shared := DefaultConfig()
+	t.Run("rtm", func(t *testing.T) {
+		pair := func(a, b *RTM) [2][]int {
+			ctxA, ctxB := rtmCtx(1), rtmCtx(2)
+			a.Reset(ctxA)
+			b.Reset(ctxB)
+			ia, ib := a.Decide(governor.Observation{Epoch: -1}), b.Decide(governor.Observation{Epoch: -1})
+			var out [2][]int
+			for e := range epochs {
+				ia = a.Decide(closedLoopObs(ctxA, e, ia, oracleDemand(e), a.DecisionOverheadS()))
+				ib = b.Decide(closedLoopObs(ctxB, e, ib, oracleDemand(e), b.DecisionOverheadS()))
+				out[0], out[1] = append(out[0], ia), append(out[1], ib)
+			}
+			return out
+		}
+		got := pair(New(shared), New(shared))
+		want := pair(New(DefaultConfig()), New(DefaultConfig()))
+		for l := range got {
+			if d := countDiffs(got[l], want[l]); d > 0 {
+				t.Fatalf("learner %d: %d of %d decisions differ from a learner built from its own Config", l, d, epochs)
+			}
+		}
+	})
+	t.Run("multirtm", func(t *testing.T) {
+		got := interleaveMulti(NewMultiRTM(shared, 2), NewMultiRTM(shared, 2), epochs)
+		want := interleaveMulti(NewMultiRTM(DefaultConfig(), 2), NewMultiRTM(DefaultConfig(), 2), epochs)
+		for l := range got {
+			if d := countDiffs(got[l], want[l]); d > 0 {
+				t.Fatalf("controller %d: %d of %d decisions differ from one built from its own Config", l, d, epochs)
+			}
+		}
+	})
+}
+
+// interleaveMulti drives two 2-app controllers epoch by epoch, as a fleet
+// would, and returns each one's decisions.
+func interleaveMulti(a, b *MultiRTM, epochs int) [2][]int {
+	ms := [2]*MultiRTM{a, b}
+	var idx [2]int
+	var out [2][]int
+	for l, m := range ms {
+		m.Reset(rtmCtx(int64(l + 1)))
+		idx[l] = m.DecideMulti(MultiObservation{Epoch: -1})
+	}
+	table := rtmCtx(0).Table
+	for e := range epochs {
+		for l, m := range ms {
+			f, ovh := table[idx[l]].FreqHz(), m.DecisionOverheadS()
+			cyA, cyB := oracleDemand(e), oracleDemand(e+850)/2
+			idx[l] = m.DecideMulti(MultiObservation{Epoch: e, Apps: []AppObservation{
+				{ExecTimeS: float64(cyA)/f + ovh, PeriodS: 0.040, CriticalCycles: cyA},
+				{ExecTimeS: float64(cyB)/f + ovh, PeriodS: 0.033, CriticalCycles: cyB},
+			}})
+			out[l] = append(out[l], idx[l])
+		}
+	}
+	return out
+}
+
+func countDiffs(a, b []int) int {
+	n := 0
+	for i := range a {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
 }

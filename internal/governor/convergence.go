@@ -61,6 +61,15 @@ type ExplorationCurve interface {
 // constant (an untouched Q-table always returns action 0): the early quiet
 // stretch must not masquerade as convergence once real learning starts
 // flipping entries.
+//
+// The policy is a fingerprint of slots, one per table state, and the
+// tracker never sees it whole. A learner's update touches one row, so only
+// that row's slot can change in an epoch: the learner compares the slot
+// before and after its update, reports a change with Flip, and closes the
+// epoch with Observe. Each decide's bookkeeping is therefore O(1) in the
+// table size, and the tracker keeps no copy of the policy — only the epoch
+// each slot last changed. The first epoch after Init or Reset counts every
+// slot as a flip, as the first sight of a policy does.
 type ConvergenceTracker struct {
 	// StableEpochs is the window length.
 	StableEpochs int
@@ -68,85 +77,103 @@ type ConvergenceTracker struct {
 	// the window.
 	MaxFlips int
 
-	// prev holds action indices (a DVFS ladder has ≤ a few dozen points,
-	// so policies arrive as []int16) and lastFlip/flipRing hold epoch
-	// numbers and per-epoch flip counts; the narrow element types keep the
-	// tracker's three per-session arrays at ~a third of their []int size,
-	// which matters when a serving fleet holds one tracker per live
-	// session.
-	prev      []int16
-	lastFlip  []int32 // epoch each state's greedy action last changed
+	// lastFlip and flipRing hold epoch numbers and per-epoch flip counts
+	// as int32, a third of their []int size, since a serving fleet holds
+	// one tracker per live session. The window's epochs sit in flipRing
+	// at epoch % StableEpochs.
+	lastFlip  []int32 // epoch each slot's greedy action last changed
 	flipRing  []int32
-	ringIdx   int
+	pending   int // flips reported for the epoch in progress
 	windowSum int
-	seen      int
 	converged int
 	epoch     int
 }
 
-// NewConvergenceTracker returns a tracker requiring the given stable run
-// length (values < 1 are raised to 1) with a one-flip tolerance.
-func NewConvergenceTracker(stableEpochs int) *ConvergenceTracker {
+// NewConvergenceTracker returns a tracker over a fingerprint of slots
+// entries requiring the given stable run length (values < 1 are raised to
+// 1) with a one-flip tolerance.
+func NewConvergenceTracker(stableEpochs, slots int) *ConvergenceTracker {
+	c := new(ConvergenceTracker)
+	c.Init(stableEpochs, slots)
+	return c
+}
+
+// Init sizes the tracker in place for a fingerprint of slots entries and a
+// window of stableEpochs (values < 1 are raised to 1), with a one-flip
+// tolerance, and clears it. It reuses the tracker's arrays where they fit,
+// so a learner holding the tracker by value re-initialises it on every
+// Reset without allocating again.
+func (c *ConvergenceTracker) Init(stableEpochs, slots int) {
 	if stableEpochs < 1 {
 		stableEpochs = 1
 	}
-	return &ConvergenceTracker{
-		StableEpochs: stableEpochs,
-		MaxFlips:     1,
-		flipRing:     make([]int32, stableEpochs),
-		converged:    -1,
+	c.StableEpochs = stableEpochs
+	c.MaxFlips = 1
+	c.lastFlip = resize(c.lastFlip, slots)
+	c.flipRing = resize(c.flipRing, stableEpochs)
+	c.Reset()
+}
+
+// resize returns s with length n, reallocating only when it lacks the
+// capacity.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// MinRowVisits is the update count below which a learner masks a table
+// row in its convergence fingerprint (the slot reads -1): an under-sampled
+// row has not learnt anything yet, so its (still essentially random)
+// greedy choice flipping must not count as "the policy is still moving".
+// The RTM family and the ML-DTM mask alike, so the Table III comparison
+// measures the same notion of stability on both sides; a row entering the
+// fingerprint as it crosses the threshold costs one tolerated flip.
+const MinRowVisits = 20
+
+// RowUpdated reports the fingerprint change of one masked row's update:
+// the update raised the row's visit count to visits and moved its greedy
+// choice from before to after. Crossing MinRowVisits always changes the
+// slot (from -1 to the greedy choice); past it, only a new greedy choice
+// does.
+func (c *ConvergenceTracker) RowUpdated(slot, visits, before, after int) {
+	if visits == MinRowVisits || visits > MinRowVisits && after != before {
+		c.Flip(slot)
 	}
 }
 
-// Observe records the greedy policy (one chosen action per state) for the
-// current epoch (-1 marks a state the learner masks as not yet sampled).
-// A policy of different length counts as fully changed.
-func (c *ConvergenceTracker) Observe(policy []int16) {
-	flips := 0
-	if c.prev == nil || len(policy) != len(c.prev) {
-		flips = len(policy)
-		if flips == 0 {
-			flips = 1
-		}
-		c.lastFlip = make([]int32, len(policy))
-		for i := range c.lastFlip {
-			c.lastFlip[i] = int32(c.epoch)
-		}
-	} else {
-		for i := range policy {
-			if policy[i] != c.prev[i] {
-				flips++
-				c.lastFlip[i] = int32(c.epoch)
-			}
-		}
-	}
-	if cap(c.prev) < len(policy) {
-		c.prev = make([]int16, len(policy))
-	} else {
-		c.prev = c.prev[:len(policy)]
-	}
-	copy(c.prev, policy)
+// Flip reports that the fingerprint's slot changed in the epoch in
+// progress. A slot must be reported at most once per epoch: learners
+// update one row per table per epoch, so one comparison covers it.
+func (c *ConvergenceTracker) Flip(slot int) {
+	c.lastFlip[slot] = int32(c.epoch)
+	c.pending++
+}
 
-	c.windowSum += flips - int(c.flipRing[c.ringIdx])
-	c.flipRing[c.ringIdx] = int32(flips)
-	c.ringIdx = (c.ringIdx + 1) % c.StableEpochs
-	if c.seen < c.StableEpochs {
-		c.seen++
+// Observe closes the epoch in progress: the flips reported since the last
+// Observe enter the window. The first epoch counts every slot (and at
+// least one flip) whatever was reported.
+func (c *ConvergenceTracker) Observe() {
+	flips := c.pending
+	if c.epoch == 0 {
+		flips = max(len(c.lastFlip), 1)
 	}
+	c.pending = 0
+	i := c.epoch % c.StableEpochs
+	c.windowSum += flips - int(c.flipRing[i])
+	c.flipRing[i] = int32(flips)
+	c.epoch++
 
-	if c.seen == c.StableEpochs {
+	if c.epoch >= c.StableEpochs {
 		if c.windowSum <= c.MaxFlips {
 			if c.converged < 0 {
-				c.converged = c.epoch - c.StableEpochs + 1
-				if c.converged < 0 {
-					c.converged = 0
-				}
+				c.converged = c.epoch - c.StableEpochs
 			}
 		} else {
 			c.converged = -1
 		}
 	}
-	c.epoch++
 }
 
 // ConvergedAt returns the start of the current stable window, or -1 while
@@ -160,16 +187,17 @@ func (c *ConvergenceTracker) WindowFlips() int { return c.windowSum }
 // Quiet reports whether the current window is within the flip tolerance —
 // the "learning has stopped moving" signal the ε schedule consumes.
 func (c *ConvergenceTracker) Quiet() bool {
-	return c.seen == c.StableEpochs && c.windowSum <= c.MaxFlips
+	return c.epoch >= c.StableEpochs && c.windowSum <= c.MaxFlips
 }
 
-// StableFraction returns the fraction of states whose greedy action has
+// StableFraction returns the fraction of slots whose greedy action has
 // not changed for at least StableEpochs epochs — the per-state view of
 // convergence, where ConvergedAt is the all-states one. It is 0 until a
 // full window has been observed: no state has had the chance to prove
-// itself stable before then.
+// itself stable before then. It walks every slot, so it is for metrics
+// reads, not the decide path.
 func (c *ConvergenceTracker) StableFraction() float64 {
-	if c.seen < c.StableEpochs || len(c.lastFlip) == 0 {
+	if c.epoch < c.StableEpochs || len(c.lastFlip) == 0 {
 		return 0
 	}
 	stable := 0
@@ -181,16 +209,13 @@ func (c *ConvergenceTracker) StableFraction() float64 {
 	return float64(stable) / float64(len(c.lastFlip))
 }
 
-// Reset clears the tracker.
+// Reset clears the tracker, keeping its slot count and window: the next
+// epoch is a first sight again.
 func (c *ConvergenceTracker) Reset() {
-	c.prev = nil
-	c.lastFlip = nil
-	for i := range c.flipRing {
-		c.flipRing[i] = 0
-	}
-	c.ringIdx = 0
+	clear(c.lastFlip)
+	clear(c.flipRing)
+	c.pending = 0
 	c.windowSum = 0
-	c.seen = 0
 	c.converged = -1
 	c.epoch = 0
 }

@@ -68,17 +68,17 @@ type MLDTM struct {
 	// tab holds every core's value table as one paged copy-on-write
 	// table: row c·UtilBands+s is core c's band-s action values. Built
 	// through Context.QPool when present, so identical cold or
-	// warm-started controllers share immutable pages.
-	tab          *qpage.Table
-	greedy       [][]int // sticky greedy choice per core, per state
+	// warm-started controllers share immutable pages. It has no rows
+	// before the first Reset.
+	tab          qpage.Table
+	greedy       []int // sticky greedy choice per table row
 	lastState    []int
 	lastAction   int
 	epoch        int
 	explorations int
-	tracker      *ConvergenceTracker
-	// fpScratch backs greedyPolicy's fingerprint across decides; the
-	// tracker copies what it keeps, so reusing it is safe.
-	fpScratch []int16
+	// tracker watches one fingerprint slot per table row: its sticky
+	// greedy choice, masked below MinRowVisits updates.
+	tracker ConvergenceTracker
 
 	// restored is the staged Checkpointer state; Reset applies it.
 	// restoredTab is the staged table interned on first apply — every
@@ -129,9 +129,6 @@ func (g *MLDTM) Epsilon() float64 {
 
 // VisitTotal implements ExplorationStats.
 func (g *MLDTM) VisitTotal() int {
-	if g.tab == nil {
-		return 0
-	}
 	n := 0
 	for r := 0; r < g.tab.Rows(); r++ {
 		for _, v := range g.tab.VRow(r) {
@@ -147,10 +144,8 @@ func (g *MLDTM) ConvergedFraction() float64 { return g.tracker.StableFraction() 
 // ReleaseState implements StateReleaser: called once on session delete to
 // return the live table's and the staged base's pooled pages.
 func (g *MLDTM) ReleaseState() {
-	if g.tab != nil {
-		g.tab.Release()
-		g.tab = nil
-	}
+	g.tab.Release()
+	g.tab = qpage.Table{}
 	if g.restoredTab != nil {
 		g.restoredTab.Release()
 		g.restoredTab = nil
@@ -163,9 +158,7 @@ func (g *MLDTM) Reset(ctx Context) {
 	g.ctx = ctx
 	g.rng = nil // rebuilt lazily from ctx.Seed on the first ε draw
 	nActions := ctx.Table.Len()
-	if g.tab != nil {
-		g.tab.Release()
-	}
+	g.tab.Release()
 	rows := ctx.NumCores * g.UtilBands
 	if g.restored != nil {
 		g.applyRestored(rows, nActions)
@@ -174,18 +167,15 @@ func (g *MLDTM) Reset(ctx Context) {
 	} else {
 		g.tab = qpage.New(rows, nActions, 0)
 	}
-	g.greedy = make([][]int, ctx.NumCores)
-	for c := range g.greedy {
-		g.greedy[c] = make([]int, g.UtilBands)
-		for s := range g.greedy[c] {
-			g.greedy[c][s] = argmaxOf(g.tab.Row(g.row(c, s)))
-		}
+	g.greedy = make([]int, rows)
+	for r := range g.greedy {
+		g.greedy[r] = argmaxOf(g.tab.Row(r))
 	}
 	g.lastState = make([]int, ctx.NumCores)
 	g.lastAction = 0
 	g.epoch = 0
 	g.explorations = 0
-	g.tracker = NewConvergenceTracker(g.StableEpochs)
+	g.tracker.Init(g.StableEpochs, rows)
 	g.tracker.MaxFlips = 2 // mirror the RTM's tolerance for comparability
 	if g.restored != nil {
 		g.epoch = g.restored.Epoch
@@ -216,7 +206,7 @@ type mldtmCheckpoint struct {
 // mldtmCheckpoint, appended into w's spare capacity when w is a
 // *bytes.Buffer. On error nothing is written.
 func (g *MLDTM) SaveState(w io.Writer) error {
-	if g.tab == nil {
+	if g.tab.Rows() == 0 {
 		return fmt.Errorf("governor: mldtm has not run yet, nothing to save")
 	}
 	var b []byte
@@ -314,8 +304,9 @@ func (g *MLDTM) applyRestored(rows, nActions int) {
 		g.restoredTab = nil
 	}
 	if g.restoredTab == nil {
-		g.restoredTab = qpage.FromFlat(rows, nActions, cp.Q, cp.Visits)
-		g.restoredTab.Intern(pool)
+		base := qpage.FromFlat(rows, nActions, cp.Q, cp.Visits)
+		base.Intern(pool)
+		g.restoredTab = &base
 	}
 	g.tab = g.restoredTab.Clone()
 }
@@ -369,21 +360,23 @@ func (g *MLDTM) Decide(obs Observation) int {
 			util = obs.Util[c]
 		}
 		r := g.reward(util, obs.PowerW)
-		sPrev := g.lastState[c]
+		prev := g.row(c, g.lastState[c])
 		sNow := g.stateOf(util)
 		best := maxOf(g.tab.Row(g.row(c, sNow)))
 		alpha := g.Alpha
 		if g.AlphaDecayK > 0 {
-			alpha = g.Alpha * g.AlphaDecayK / (g.AlphaDecayK + float64(g.tab.VRow(g.row(c, sPrev))[g.lastAction]))
+			alpha = g.Alpha * g.AlphaDecayK / (g.AlphaDecayK + float64(g.tab.VRow(prev)[g.lastAction]))
 		}
-		qrow, vrow := g.tab.MutRow(g.row(c, sPrev))
+		qrow, vrow := g.tab.MutRow(prev)
 		qrow[g.lastAction] = (1-alpha)*qrow[g.lastAction] + alpha*(r+g.Discount*best)
 		vrow[g.lastAction]++
-		// Sticky greedy refresh for the updated state.
-		cur := g.greedy[c][sPrev]
+		// Sticky greedy refresh for the updated state: the only slot of
+		// the convergence fingerprint this core's update can change.
+		cur := g.greedy[prev]
 		if am := argmaxOf(qrow); qrow[am] > qrow[cur]+g.GreedyMargin {
-			g.greedy[c][sPrev] = am
+			g.greedy[prev] = am
 		}
+		g.tracker.RowUpdated(prev, sumOf(vrow), cur, g.greedy[prev])
 		g.lastState[c] = sNow
 	}
 
@@ -400,7 +393,7 @@ func (g *MLDTM) Decide(obs Observation) int {
 			a = g.rng.Intn(nActions) // uniform exploration
 			explored = true
 		} else {
-			a = g.greedy[c][g.lastState[c]]
+			a = g.greedy[g.row(c, g.lastState[c])]
 		}
 		if a > vote {
 			vote = a
@@ -411,32 +404,17 @@ func (g *MLDTM) Decide(obs Observation) int {
 	}
 	g.epoch++
 	g.lastAction = vote
-	g.tracker.Observe(g.greedyPolicy())
+	g.tracker.Observe()
 	return vote
 }
 
-// greedyPolicy flattens the per-core sticky greedy actions into one
-// fingerprint, masking under-sampled states exactly as the proposed RTM
-// does (see RTM.greedyFingerprint) so the Table III comparison measures
-// the same notion of stability on both sides.
-func (g *MLDTM) greedyPolicy() []int16 {
-	const minRowVisits = 20
-	out := g.fpScratch[:0]
-	for c, per := range g.greedy {
-		for s, a := range per {
-			var rowVisits int
-			for _, v := range g.tab.VRow(g.row(c, s)) {
-				rowVisits += int(v)
-			}
-			if rowVisits < minRowVisits {
-				out = append(out, -1)
-			} else {
-				out = append(out, int16(a))
-			}
-		}
+// sumOf returns the total of a row's visit counts.
+func sumOf(vs []int32) int {
+	n := 0
+	for _, v := range vs {
+		n += int(v)
 	}
-	g.fpScratch = out
-	return out
+	return n
 }
 
 func maxOf(xs []float64) float64 {

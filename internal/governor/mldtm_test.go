@@ -106,41 +106,41 @@ func TestMLDTMOverheadPositive(t *testing.T) {
 }
 
 func TestConvergenceTracker(t *testing.T) {
-	// Window 3, tolerance 1 flip. The very first Observe counts as a full
-	// change (len(policy) flips), so the window must drain before any
-	// convergence is possible.
-	tr := NewConvergenceTracker(3)
-	a := []int16{1, 2, 3}
-	b := []int16{1, 2, 4} // one entry differs from a
-	tr.Observe(a)         // epoch 0: 3 flips (first sight)
-	tr.Observe(a)         // epoch 1: 0 flips
-	tr.Observe(a)         // epoch 2: window holds 3 flips -> not converged
+	// Window 3, tolerance 1 flip, three slots. The very first Observe
+	// counts as a full change (one flip per slot), so the window must
+	// drain before any convergence is possible.
+	tr := NewConvergenceTracker(3, 3)
+	tr.Observe() // epoch 0: 3 flips (first sight)
+	tr.Observe() // epoch 1: 0 flips
+	tr.Observe() // epoch 2: window holds 3 flips -> not converged
 	if tr.ConvergedAt() >= 0 {
 		t.Fatal("converged while the first-sight flips were still in window")
 	}
-	tr.Observe(a) // epoch 3: window {0,0,0} -> converged at window start
+	tr.Observe() // epoch 3: window {0,0,0} -> converged at window start
 	if tr.ConvergedAt() != 1 {
 		t.Fatalf("ConvergedAt = %d, want 1", tr.ConvergedAt())
 	}
 	// A single flip is within tolerance: stays converged.
-	tr.Observe(b) // epoch 4: 1 flip
+	tr.Flip(2)
+	tr.Observe() // epoch 4: 1 flip
 	if tr.ConvergedAt() != 1 {
 		t.Fatalf("single tolerated flip reopened: %d", tr.ConvergedAt())
 	}
 	// Two flips inside one window reopen learning.
-	tr.Observe(a) // epoch 5: 1 flip -> window {0,1,1} = 2 > tolerance
+	tr.Flip(2)
+	tr.Observe() // epoch 5: 1 flip -> window {0,1,1} = 2 > tolerance
 	if tr.ConvergedAt() != -1 {
 		t.Fatalf("two flips did not reopen: %d", tr.ConvergedAt())
 	}
 	// A fresh qualifying window re-converges at its start: epochs {5,6,7}
 	// hold {1,0,0} flips, back inside tolerance, so epoch 5 — where the
 	// tolerated final adjustment happened — is the reported stabilisation.
-	tr.Observe(a) // epoch 6: 0 flips
-	tr.Observe(a) // epoch 7: window {1,0,0}
+	tr.Observe() // epoch 6: 0 flips
+	tr.Observe() // epoch 7: window {1,0,0}
 	if tr.ConvergedAt() != 5 {
 		t.Fatalf("ConvergedAt = %d, want 5", tr.ConvergedAt())
 	}
-	tr.Observe(a) // epoch 8: window {0,0,0} keeps the earlier start
+	tr.Observe() // epoch 8: window {0,0,0} keeps the earlier start
 	if tr.ConvergedAt() != 5 {
 		t.Fatalf("ConvergedAt moved to %d after more quiet epochs", tr.ConvergedAt())
 	}
@@ -149,22 +149,30 @@ func TestConvergenceTracker(t *testing.T) {
 	}
 }
 
+// Re-sizing the fingerprint starts over: the first epoch at the new
+// length counts every slot as a flip, however settled the tracker was.
 func TestConvergenceTrackerLengthChange(t *testing.T) {
-	tr := NewConvergenceTracker(2)
-	tr.Observe([]int16{1})
-	tr.Observe([]int16{1, 2}) // different length: full change
+	tr := NewConvergenceTracker(2, 1)
+	for range 3 {
+		tr.Observe()
+	}
+	if tr.ConvergedAt() < 0 {
+		t.Fatal("setup failed: a constant one-slot policy did not converge")
+	}
+	tr.Init(2, 2) // different length: full change
+	tr.Observe()
 	if tr.ConvergedAt() >= 0 {
 		t.Fatal("length change treated as stable")
 	}
-	if tr.WindowFlips() == 0 {
-		t.Fatal("length change not counted as flips")
+	if tr.WindowFlips() != 2 {
+		t.Fatalf("length change counted %d flips, want one per slot (2)", tr.WindowFlips())
 	}
 }
 
 func TestConvergenceTrackerReset(t *testing.T) {
-	tr := NewConvergenceTracker(1)
+	tr := NewConvergenceTracker(1, 1)
 	tr.MaxFlips = 99 // any change tolerated
-	tr.Observe([]int16{1})
+	tr.Observe()
 	if tr.ConvergedAt() != 0 {
 		t.Fatal("setup failed")
 	}

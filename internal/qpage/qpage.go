@@ -90,14 +90,19 @@ func visits(buf []float64, n int) []int32 {
 // Table is a rows×cols value table stored as page references. Pages are
 // either owned (private, freely mutable) or pooled (shared, immutable —
 // MutRow faults them out before the first write).
+//
+// A Table is a 40-B header that its owner holds by value (core.QTable
+// embeds one, so a session's table costs no separate allocation). Copying
+// it aliases the page slice: a copy moves the table, it never duplicates
+// one — use Clone for that.
 type Table struct {
-	rows, cols int
+	rows, cols int32
 	pages      []*page
 	pool       *Pool // pool the pooled pages belong to; nil if never interned
 }
 
 // span is the number of values (and of visit counts) on one page.
-func (t *Table) span() int { return PageRows * t.cols }
+func (t *Table) span() int { return PageRows * int(t.cols) }
 
 const poolShards = 64
 
@@ -219,13 +224,19 @@ func (p *Pool) release(pg *page) {
 
 func numPages(rows int) int { return (rows + PageRows - 1) / PageRows }
 
-// New creates a table of owned pages with every value at fill and every
-// visit count at zero.
-func New(rows, cols int, fill float64) *Table {
-	if rows < 1 || cols < 1 {
+// checkDims rejects empty tables and dimensions the int32 header cannot
+// hold.
+func checkDims(rows, cols int) {
+	if rows < 1 || cols < 1 || rows > math.MaxInt32 || cols > math.MaxInt32 {
 		panic(fmt.Sprintf("qpage: Table(%d rows, %d cols)", rows, cols))
 	}
-	t := &Table{rows: rows, cols: cols, pages: make([]*page, numPages(rows))}
+}
+
+// New creates a table of owned pages with every value at fill and every
+// visit count at zero.
+func New(rows, cols int, fill float64) Table {
+	checkDims(rows, cols)
+	t := Table{rows: int32(rows), cols: int32(cols), pages: make([]*page, numPages(rows))}
 	for i := range t.pages {
 		t.pages[i] = newPage(t.span(), fill)
 	}
@@ -254,11 +265,9 @@ func ownCopy(pg *page) *page {
 // uniform page — the cold-start fast path. A fleet of a million
 // just-created sessions on the same platform shares a single 228-B page
 // payload per distinct (cols, fill) pair.
-func (p *Pool) NewShared(rows, cols int, fill float64) *Table {
-	if rows < 1 || cols < 1 {
-		panic(fmt.Sprintf("qpage: Table(%d rows, %d cols)", rows, cols))
-	}
-	t := &Table{rows: rows, cols: cols, pool: p, pages: make([]*page, numPages(rows))}
+func (p *Pool) NewShared(rows, cols int, fill float64) Table {
+	checkDims(rows, cols)
+	t := Table{rows: int32(rows), cols: int32(cols), pool: p, pages: make([]*page, numPages(rows))}
 	pg := p.intern(newPage(t.span(), fill), t.span())
 	t.pages[0] = pg
 	for i := 1; i < len(t.pages); i++ {
@@ -270,7 +279,7 @@ func (p *Pool) NewShared(rows, cols int, fill float64) *Table {
 
 // FromFlat creates a table of owned pages from flat row-major value and
 // visit slices, copying both.
-func FromFlat(rows, cols int, q []float64, v []int) *Table {
+func FromFlat(rows, cols int, q []float64, v []int) Table {
 	if len(q) != rows*cols || len(v) != rows*cols {
 		panic(fmt.Sprintf("qpage: FromFlat %dx%d given %d values, %d visits", rows, cols, len(q), len(v)))
 	}
@@ -286,10 +295,10 @@ func FromFlat(rows, cols int, q []float64, v []int) *Table {
 }
 
 // Rows returns the table's row count.
-func (t *Table) Rows() int { return t.rows }
+func (t *Table) Rows() int { return int(t.rows) }
 
 // Cols returns the table's column count.
-func (t *Table) Cols() int { return t.cols }
+func (t *Table) Cols() int { return int(t.cols) }
 
 // Pool returns the pool this table's pooled pages belong to (nil if the
 // table was never interned or cloned from a pooled table).
@@ -299,15 +308,15 @@ func (t *Table) Pool() *Pool { return t.pool }
 // shared page: callers must not write through it (use MutRow).
 func (t *Table) Row(r int) []float64 {
 	pg := t.pages[r/PageRows]
-	off := (r % PageRows) * t.cols
-	return pg.buf[off : off+t.cols : off+t.cols]
+	off, n := (r%PageRows)*int(t.cols), int(t.cols)
+	return pg.buf[off : off+n : off+n]
 }
 
 // VRow returns a read-only view of one row's visit counts.
 func (t *Table) VRow(r int) []int32 {
 	pg := t.pages[r/PageRows]
-	off := (r % PageRows) * t.cols
-	return visits(pg.buf, t.span())[off : off+t.cols : off+t.cols]
+	off, n := (r%PageRows)*int(t.cols), int(t.cols)
+	return visits(pg.buf, t.span())[off : off+n : off+n]
 }
 
 // MutRow returns writable views of one row's values and visit counts,
@@ -318,8 +327,8 @@ func (t *Table) MutRow(r int) ([]float64, []int32) {
 	if pg.shared != nil {
 		pg = t.fault(pi, pg)
 	}
-	off := (r % PageRows) * t.cols
-	return pg.buf[off : off+t.cols : off+t.cols], visits(pg.buf, t.span())[off : off+t.cols : off+t.cols]
+	off, n := (r%PageRows)*int(t.cols), int(t.cols)
+	return pg.buf[off : off+n : off+n], visits(pg.buf, t.span())[off : off+n : off+n]
 }
 
 // fault replaces a pooled page with a private copy — the copy-on-write
@@ -335,8 +344,8 @@ func (t *Table) fault(pi int, pooled *page) *page {
 // Clone returns a table sharing every pooled page (refcounts bumped) and
 // deep-copying every owned one. Cloning an interned base is how N sessions
 // come to share one warm-start table.
-func (t *Table) Clone() *Table {
-	nt := &Table{rows: t.rows, cols: t.cols, pool: t.pool, pages: make([]*page, len(t.pages))}
+func (t *Table) Clone() Table {
+	nt := Table{rows: t.rows, cols: t.cols, pool: t.pool, pages: make([]*page, len(t.pages))}
 	for i, pg := range t.pages {
 		if pg.shared != nil {
 			t.pool.acquire(pg)
@@ -383,7 +392,7 @@ func (t *Table) Release() {
 // no spelling for it), and the returned slice is then b unchanged.
 func (t *Table) AppendQ(b []byte) ([]byte, error) {
 	out := append(b, '[')
-	for r := 0; r < t.rows; r++ {
+	for r := range t.Rows() {
 		for c, q := range t.Row(r) {
 			if r > 0 || c > 0 {
 				out = append(out, ',')
@@ -400,7 +409,7 @@ func (t *Table) AppendQ(b []byte) ([]byte, error) {
 // AppendV appends the visit counts as one flat row-major JSON array.
 func (t *Table) AppendV(b []byte) []byte {
 	b = append(b, '[')
-	for r := 0; r < t.rows; r++ {
+	for r := range t.Rows() {
 		for c, v := range t.VRow(r) {
 			if r > 0 || c > 0 {
 				b = append(b, ',')
