@@ -250,10 +250,11 @@ func (t *QTable) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler with the same validation Load
-// applies: consistent dimensions, non-negative visit counts, and finite
-// Q-values — a NaN or ±Inf entry would poison every max/argmax the policy
-// computes from the row it lands in, so a corrupted table is rejected
-// whole rather than imported.
+// applies: consistent dimensions, visit counts in [0, math.MaxInt32] (a
+// table stores them as int32, and a wrapped count would turn the learning
+// rate negative), and finite Q-values — a NaN or ±Inf entry would poison
+// every max/argmax the policy computes from the row it lands in, so a
+// corrupted table is rejected whole rather than imported.
 func (t *QTable) UnmarshalJSON(b []byte) error {
 	var j qtableJSON
 	if err := json.Unmarshal(b, &j); err != nil {
@@ -269,8 +270,9 @@ func (t *QTable) UnmarshalJSON(b []byte) error {
 		}
 	}
 	for i, v := range j.Visits {
-		if v < 0 {
-			return fmt.Errorf("core: Q-table is inconsistent: Visits(%d,%d) = %d", i/j.Actions, i%j.Actions, v)
+		if v < 0 || v > math.MaxInt32 {
+			return fmt.Errorf("core: Q-table is inconsistent: Visits(%d,%d) = %d, want 0 to %d",
+				i/j.Actions, i%j.Actions, v, math.MaxInt32)
 		}
 	}
 	// Re-unmarshalling into a live table must not strand pool refs.

@@ -137,11 +137,12 @@ func TestQTableSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadRejectsCorrupt(t *testing.T) {
 	cases := map[string]string{
-		"not json":        "hello",
-		"size mismatch":   `{"states":2,"actions":2,"q":[1,2,3],"visits":[0,0,0]}`,
-		"zero states":     `{"states":0,"actions":2,"q":[],"visits":[]}`,
-		"visits mismatch": `{"states":1,"actions":2,"q":[1,2],"visits":[0]}`,
-		"negative visits": `{"states":1,"actions":2,"q":[1,2],"visits":[0,-3]}`,
+		"not json":          "hello",
+		"size mismatch":     `{"states":2,"actions":2,"q":[1,2,3],"visits":[0,0,0]}`,
+		"zero states":       `{"states":0,"actions":2,"q":[],"visits":[]}`,
+		"visits mismatch":   `{"states":1,"actions":2,"q":[1,2],"visits":[0]}`,
+		"negative visits":   `{"states":1,"actions":2,"q":[1,2],"visits":[0,-3]}`,
+		"visits past int32": `{"states":1,"actions":2,"q":[1,2],"visits":[2147483648,0]}`,
 	}
 	for name, in := range cases {
 		if _, err := Load(strings.NewReader(in)); err == nil {

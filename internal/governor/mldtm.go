@@ -271,8 +271,8 @@ func (g *MLDTM) LoadState(r io.Reader) error {
 		}
 	}
 	for i, v := range cp.Visits {
-		if v < 0 {
-			return fmt.Errorf("governor: mldtm checkpoint is inconsistent: visits[%d] = %d", i, v)
+		if v < 0 || v > math.MaxInt32 {
+			return fmt.Errorf("governor: mldtm checkpoint is inconsistent: visits[%d] = %d, want 0 to %d", i, v, math.MaxInt32)
 		}
 	}
 	if cp.Epoch < 0 {

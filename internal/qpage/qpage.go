@@ -13,12 +13,12 @@
 // page pointers; the first write to a shared page copies just that page
 // (a "COW fault") and the session owns the copy from there on.
 //
-// Memory layout: a page is a 32-B header over one buffer that holds the
-// page's values and then its visit counts, packed two int32 to a float64
-// word. A private 19-column page therefore costs its 228 B of data in a
-// 240-B allocation plus the header — 272 B in two allocations per fault.
-// Pool bookkeeping (content key and refcount) lives in a separate record
-// that only pooled pages point to, so private pages carry none of it.
+// Memory layout: a page is one buffer that holds the page's values, then
+// its visit counts packed two int32 to a float64 word, then one flag word
+// that is zero on a private page. A private 19-column page therefore costs
+// its 228 B of data in exactly one 240-B allocation per fault. Pool
+// bookkeeping (content key and refcount) lives in a separate record that
+// only a pooled page's flag word names, so private pages carry none of it.
 //
 // Concurrency contract: a pooled page is immutable after publish — writers
 // always fault it out first — so concurrent readers never need a lock. The
@@ -39,7 +39,7 @@ import (
 )
 
 // PageRows is the number of table rows per page. One row of a 19-action
-// table is a 272-B page (header and buffer) — the fault quantum. Fault
+// table is a 240-B page in one allocation — the fault quantum. Fault
 // granularity is the dominant per-session memory cost under churn: a
 // short-lived session visits two or three states before it is reaped, and
 // at four rows per page each of those visits dragged in three
@@ -49,42 +49,97 @@ import (
 // refcount traffic on clone/release — both off the decide hot path.
 const PageRows = 1
 
-// page holds PageRows rows of values and visit counts, always allocated
-// full-size (the last page of a table leaves its tail rows at the fill
-// value). With n = PageRows·cols, buf holds the n values and then the n
-// visit counts (see newBuf and visits).
+// page is the first word of one page buffer, and a Table points at its
+// pages by *page, so a private page is exactly one allocation. With
+// n = PageRows·cols, the buffer holds pageWords(n) float64 words: the n
+// values, then the n visit counts (see visits), then one flag word (see
+// flag). Pages are always allocated full-size: the last page of a table
+// leaves its tail rows at the fill value.
 //
 // Visit counts are int32: 2^31 visits per state–action pair is beyond any
 // session lifetime, and the narrower lane halves the second-largest slab
 // of per-session COW memory. The checkpoint surface (AppendV/FromFlat)
-// spells them as plain integers, so nothing serialised changes.
-type page struct {
-	buf []float64
-	// shared is non-nil exactly when the page is pooled. It is set once
-	// before the page is published and never changes afterwards.
-	shared *shared
+// spells them as plain integers, so nothing serialised changes; the
+// loaders reject a count above math.MaxInt32.
+//
+// Every view of a page is an unsafe.Slice over its buffer. The views are
+// sound: the buffer is one pointer-free, 8-byte-aligned float64
+// allocation, so every int32 and uint64 lane in it is aligned; the views
+// lie inside the pageWords(n) words and never overlap one another; and a
+// *page (or an interior pointer into a view) keeps the whole allocation
+// alive for the garbage collector, which never scans it.
+type page float64
+
+// dataWords is the number of buffer words holding a page's n values and
+// its n visit counts; the flag word follows them.
+func dataWords(n int) int { return n + (n+1)/2 }
+
+// pageWords is the size in words of the buffer of a page of n values.
+func pageWords(n int) int { return dataWords(n) + 1 }
+
+// newPage returns an owned page of n values at fill, n zero visits and a
+// clear flag.
+func newPage(n int, fill float64) *page {
+	buf := make([]float64, pageWords(n))
+	if fill != 0 {
+		for i := range buf[:n] {
+			buf[i] = fill
+		}
+	}
+	return (*page)(&buf[0])
 }
 
-// shared is the pool bookkeeping of a published page. refs is guarded by
-// the owning shard's mutex; key and bytes never change.
+// values returns the n values at the start of the page's buffer. A nil
+// page (a released table's) panics as a nil dereference: the explicit
+// load keeps unsafe.Slice from seeing the nil pointer, which the race
+// detector's pointer checks turn into a fatal error instead of a panic.
+func (pg *page) values(n int) []float64 {
+	_ = *pg
+	return unsafe.Slice((*float64)(pg), n)
+}
+
+// visits returns the n visit counts stored after the page's n values.
+func (pg *page) visits(n int) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Add(unsafe.Pointer(pg), n*8)), n)
+}
+
+// flag returns the page's flag word, the last word of its buffer: zero
+// while the page is private, and a poolRef naming its shared record from
+// the moment it is published. A pooled page's flag never changes again.
+func (pg *page) flag(n int) *uint64 {
+	return (*uint64)(unsafe.Add(unsafe.Pointer(pg), dataWords(n)*8))
+}
+
+// pooled reports whether the page of n values is published in a pool.
+func (pg *page) pooled(n int) bool { return *pg.flag(n) != 0 }
+
+// ownCopy returns an owned copy of the content of a page of n values.
+func ownCopy(pg *page, n int) *page {
+	buf := make([]float64, pageWords(n))
+	copy(buf, unsafe.Slice((*float64)(pg), dataWords(n)))
+	return (*page)(&buf[0])
+}
+
+// shared is the pool bookkeeping of a published page. It lives in its
+// shard's recs slab, guarded by the shard's mutex; key and pg never
+// change while the record is live.
 type shared struct {
-	key   [32]byte
-	refs  int64
-	bytes int64 // payload bytes, for the pool's Stats
+	key  [32]byte
+	refs int64
+	pg   *page // the published page, which interns of equal content return
 }
 
-// newBuf allocates one page buffer for n values and n visit counts: n
-// float64 words, then ceil(n/2) words that visits views as n int32.
-func newBuf(n int) []float64 { return make([]float64, n+(n+1)/2) }
+// payloadBytes is what the pool's Stats count for a page of n values: its
+// values and visit counts.
+func payloadBytes(n int) int64 { return int64(n) * (8 + 4) }
 
-// visits returns the n visit counts stored after the n values of a buffer
-// from newBuf. The view is sound: the backing array is one pointer-free,
-// 8-byte-aligned float64 allocation, so every int32 lane in it is aligned;
-// the 4n bytes viewed lie inside the ceil(n/2) words newBuf reserved past
-// the values and never overlap them; and the interior pointer keeps the
-// whole allocation alive for the garbage collector, which never scans it.
-func visits(buf []float64, n int) []int32 {
-	return unsafe.Slice((*int32)(unsafe.Pointer(&buf[n])), n)
+// A poolRef is a pooled page's flag word: poolRefBit, then the shard's
+// index in bits 32–37 and the record's slot in its shard's recs slab in
+// the low 32 bits. The set top bit keeps every poolRef nonzero.
+const poolRefBit = 1 << 63
+
+func poolRef(shard int, slot uint32) uint64 {
+	return poolRefBit | uint64(shard)<<32 | uint64(slot)
 }
 
 // Table is a rows×cols value table stored as page references. Pages are
@@ -107,13 +162,18 @@ func (t *Table) span() int { return PageRows * int(t.cols) }
 const poolShards = 64
 
 type poolShard struct {
-	mu    sync.Mutex
-	m     map[[32]byte]*page
+	mu sync.Mutex
+	m  map[[32]byte]uint32 // content key → slot in recs
+	// recs holds the shard's shared records, indexed by the slot in each
+	// pooled page's flag word; free lists the slots released records left,
+	// so recs never grows past the shard's peak count of distinct pages.
+	recs  []shared
+	free  []uint32
 	pages int64
 	bytes int64
 	// Pad shards apart so refcount traffic from unrelated sessions does
 	// not false-share a cache line, mirroring sessionstore.
-	_ [24]byte
+	_ [48]byte
 }
 
 // Pool is a sharded content-addressed intern pool of immutable pages.
@@ -129,7 +189,7 @@ type Pool struct {
 func NewPool() *Pool {
 	p := new(Pool)
 	for i := range p.shards {
-		p.shards[i].m = make(map[[32]byte]*page)
+		p.shards[i].m = make(map[[32]byte]uint32)
 	}
 	return p
 }
@@ -149,8 +209,6 @@ func (p *Pool) Stats() (pages, bytes, faults int64) {
 	return pages, bytes, p.faults.Load()
 }
 
-func (p *Pool) shardOf(key [32]byte) *poolShard { return &p.shards[key[0]&(poolShards-1)] }
-
 // contentKey hashes the exact content of a page holding n values: lengths
 // then raw float64 bits then visit counts, all little-endian. Bit-exact
 // equality is the intern criterion (−0 and 0 intern separately; NaNs never
@@ -160,13 +218,13 @@ func contentKey(pg *page, n int) [32]byte {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(n))
 	h.Write(buf[:])
-	for _, q := range pg.buf[:n] {
+	for _, q := range pg.values(n) {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(q))
 		h.Write(buf[:])
 	}
 	binary.LittleEndian.PutUint64(buf[:], uint64(n))
 	h.Write(buf[:])
-	for _, v := range visits(pg.buf, n) {
+	for _, v := range pg.visits(n) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
@@ -179,45 +237,64 @@ func contentKey(pg *page, n int) [32]byte {
 // already published) and returns the pooled page with one reference held.
 func (p *Pool) intern(pg *page, n int) *page {
 	key := contentKey(pg, n)
-	sh := p.shardOf(key)
+	si := int(key[0] & (poolShards - 1))
+	sh := &p.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if got, ok := sh.m[key]; ok {
-		got.shared.refs++
-		return got
+	if slot, ok := sh.m[key]; ok {
+		sh.recs[slot].refs++
+		return sh.recs[slot].pg
 	}
-	pg.shared = &shared{key: key, refs: 1, bytes: int64(n) * (8 + 4)}
-	sh.m[key] = pg
+	var slot uint32
+	if k := len(sh.free); k > 0 {
+		slot = sh.free[k-1]
+		sh.free = sh.free[:k-1]
+	} else {
+		slot = uint32(len(sh.recs))
+		sh.recs = append(sh.recs, shared{})
+	}
+	sh.recs[slot] = shared{key: key, refs: 1, pg: pg}
+	*pg.flag(n) = poolRef(si, slot)
+	sh.m[key] = slot
 	sh.pages++
-	sh.bytes += pg.shared.bytes
+	sh.bytes += payloadBytes(n)
 	return pg
 }
 
-// acquire takes one more reference on an already-pooled page.
-func (p *Pool) acquire(pg *page) {
-	sh := p.shardOf(pg.shared.key)
+// locate returns the shard and the locked record of a pooled page of n
+// values. The caller unlocks the shard. A page whose slot no longer
+// records it was released more times than acquired.
+func (p *Pool) locate(pg *page, n int) (*poolShard, *shared) {
+	ref := *pg.flag(n)
+	sh := &p.shards[(ref>>32)&(poolShards-1)]
 	sh.mu.Lock()
-	pg.shared.refs++
+	if slot := uint32(ref); int(slot) < len(sh.recs) && sh.recs[slot].pg == pg {
+		return sh, &sh.recs[slot]
+	}
+	sh.mu.Unlock()
+	panic("qpage: page released more times than acquired")
+}
+
+// acquire takes one more reference on an already-pooled page of n values.
+func (p *Pool) acquire(pg *page, n int) {
+	sh, rec := p.locate(pg, n)
+	rec.refs++
 	sh.mu.Unlock()
 }
 
 // release drops one reference; the last reference removes the page from
-// the pool. The map entry is deleted rather than kept as a tombstone: the
-// pool holds distinct *content*, so its population is orders of magnitude
-// below the session count and map growth is not a storm concern the way
-// sessionstore's was.
-func (p *Pool) release(pg *page) {
-	ps := pg.shared
-	sh := p.shardOf(ps.key)
-	sh.mu.Lock()
-	ps.refs--
-	if ps.refs == 0 {
-		delete(sh.m, ps.key)
+// the pool and frees its record's slot. The map entry is deleted rather
+// than kept as a tombstone: the pool holds distinct *content*, so its
+// population is orders of magnitude below the session count and map
+// growth is not a storm concern the way sessionstore's was.
+func (p *Pool) release(pg *page, n int) {
+	sh, rec := p.locate(pg, n)
+	if rec.refs--; rec.refs == 0 {
+		delete(sh.m, rec.key)
 		sh.pages--
-		sh.bytes -= ps.bytes
-	} else if ps.refs < 0 {
-		sh.mu.Unlock()
-		panic("qpage: page released more times than acquired")
+		sh.bytes -= payloadBytes(n)
+		sh.free = append(sh.free, uint32(*pg.flag(n)))
+		*rec = shared{}
 	}
 	sh.mu.Unlock()
 }
@@ -243,24 +320,6 @@ func New(rows, cols int, fill float64) Table {
 	return t
 }
 
-// newPage returns an owned page of n values at fill and n zero visits.
-func newPage(n int, fill float64) *page {
-	pg := &page{buf: newBuf(n)}
-	if fill != 0 {
-		for i := range pg.buf[:n] {
-			pg.buf[i] = fill
-		}
-	}
-	return pg
-}
-
-// ownCopy returns an owned copy of pg's content.
-func ownCopy(pg *page) *page {
-	buf := make([]float64, len(pg.buf))
-	copy(buf, pg.buf)
-	return &page{buf: buf}
-}
-
 // NewShared creates a table whose pages are all references to one pooled
 // uniform page — the cold-start fast path. A fleet of a million
 // just-created sessions on the same platform shares a single 228-B page
@@ -268,17 +327,20 @@ func ownCopy(pg *page) *page {
 func (p *Pool) NewShared(rows, cols int, fill float64) Table {
 	checkDims(rows, cols)
 	t := Table{rows: int32(rows), cols: int32(cols), pool: p, pages: make([]*page, numPages(rows))}
-	pg := p.intern(newPage(t.span(), fill), t.span())
+	n := t.span()
+	pg := p.intern(newPage(n, fill), n)
 	t.pages[0] = pg
 	for i := 1; i < len(t.pages); i++ {
-		p.acquire(pg)
+		p.acquire(pg, n)
 		t.pages[i] = pg
 	}
 	return t
 }
 
 // FromFlat creates a table of owned pages from flat row-major value and
-// visit slices, copying both.
+// visit slices, copying both. A visit count outside [0, math.MaxInt32]
+// panics: the int32 lane cannot hold it, and the checkpoint loaders
+// reject such counts before they get here.
 func FromFlat(rows, cols int, q []float64, v []int) Table {
 	if len(q) != rows*cols || len(v) != rows*cols {
 		panic(fmt.Sprintf("qpage: FromFlat %dx%d given %d values, %d visits", rows, cols, len(q), len(v)))
@@ -288,6 +350,9 @@ func FromFlat(rows, cols int, q []float64, v []int) Table {
 		qr, vr := t.MutRow(r)
 		copy(qr, q[r*cols:(r+1)*cols])
 		for c, vc := range v[r*cols : (r+1)*cols] {
+			if vc < 0 || vc > math.MaxInt32 {
+				panic(fmt.Sprintf("qpage: FromFlat visit count %d at (%d,%d) outside [0, %d]", vc, r, c, math.MaxInt32))
+			}
 			vr[c] = int32(vc)
 		}
 	}
@@ -307,36 +372,34 @@ func (t *Table) Pool() *Pool { return t.pool }
 // Row returns a read-only view of one row's values. The view may alias a
 // shared page: callers must not write through it (use MutRow).
 func (t *Table) Row(r int) []float64 {
-	pg := t.pages[r/PageRows]
 	off, n := (r%PageRows)*int(t.cols), int(t.cols)
-	return pg.buf[off : off+n : off+n]
+	return t.pages[r/PageRows].values(t.span())[off : off+n : off+n]
 }
 
 // VRow returns a read-only view of one row's visit counts.
 func (t *Table) VRow(r int) []int32 {
-	pg := t.pages[r/PageRows]
 	off, n := (r%PageRows)*int(t.cols), int(t.cols)
-	return visits(pg.buf, t.span())[off : off+n : off+n]
+	return t.pages[r/PageRows].visits(t.span())[off : off+n : off+n]
 }
 
 // MutRow returns writable views of one row's values and visit counts,
 // faulting the containing page out of the pool first if it is shared.
 func (t *Table) MutRow(r int) ([]float64, []int32) {
-	pi := r / PageRows
+	pi, span := r/PageRows, t.span()
 	pg := t.pages[pi]
-	if pg.shared != nil {
+	if pg.pooled(span) {
 		pg = t.fault(pi, pg)
 	}
 	off, n := (r%PageRows)*int(t.cols), int(t.cols)
-	return pg.buf[off : off+n : off+n], visits(pg.buf, t.span())[off : off+n : off+n]
+	return pg.values(span)[off : off+n : off+n], pg.visits(span)[off : off+n : off+n]
 }
 
 // fault replaces a pooled page with a private copy — the copy-on-write
 // step. The pooled page's values remain visible to every other holder.
 func (t *Table) fault(pi int, pooled *page) *page {
-	own := ownCopy(pooled)
+	own := ownCopy(pooled, t.span())
 	t.pages[pi] = own
-	t.pool.release(pooled)
+	t.pool.release(pooled, t.span())
 	t.pool.faults.Add(1)
 	return own
 }
@@ -346,12 +409,13 @@ func (t *Table) fault(pi int, pooled *page) *page {
 // come to share one warm-start table.
 func (t *Table) Clone() Table {
 	nt := Table{rows: t.rows, cols: t.cols, pool: t.pool, pages: make([]*page, len(t.pages))}
+	n := t.span()
 	for i, pg := range t.pages {
-		if pg.shared != nil {
-			t.pool.acquire(pg)
+		if pg.pooled(n) {
+			t.pool.acquire(pg, n)
 			nt.pages[i] = pg
 		} else {
-			nt.pages[i] = ownCopy(pg)
+			nt.pages[i] = ownCopy(pg, n)
 		}
 	}
 	return nt
@@ -366,9 +430,10 @@ func (t *Table) Intern(pool *Pool) {
 		panic("qpage: table already interned into a different pool")
 	}
 	t.pool = pool
+	n := t.span()
 	for i, pg := range t.pages {
-		if pg.shared == nil {
-			t.pages[i] = pool.intern(pg, t.span())
+		if !pg.pooled(n) {
+			t.pages[i] = pool.intern(pg, n)
 		}
 	}
 }
@@ -378,9 +443,10 @@ func (t *Table) Intern(pool *Pool) {
 // of silently reading freed shared state. Releasing an unpooled table just
 // poisons it.
 func (t *Table) Release() {
+	n := t.span()
 	for i, pg := range t.pages {
-		if pg != nil && pg.shared != nil {
-			t.pool.release(pg)
+		if pg != nil && pg.pooled(n) {
+			t.pool.release(pg, n)
 		}
 		t.pages[i] = nil
 	}
@@ -451,11 +517,11 @@ func AppendFloat(b []byte, f float64) ([]byte, error) {
 // SharedPages counts how many of t's page references are pooled (shared),
 // for tests and diagnostics.
 func (t *Table) SharedPages() int {
-	n := 0
+	shared, n := 0, t.span()
 	for _, pg := range t.pages {
-		if pg != nil && pg.shared != nil {
-			n++
+		if pg != nil && pg.pooled(n) {
+			shared++
 		}
 	}
-	return n
+	return shared
 }

@@ -2,6 +2,7 @@ package qpage
 
 import (
 	"encoding/json"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -166,7 +167,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 			t.Fatal("refs underflow did not panic")
 		}
 	}()
-	p.release(pg)
+	p.release(pg, c.span())
 }
 
 // TestConcurrentCloneFaultRelease hammers one shared base from many
@@ -235,8 +236,8 @@ func faultCost(faults int) (bytes, mallocs uint64, elapsed time.Duration) {
 	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, elapsed
 }
 
-// A COW fault on a 19-column table costs its 228 B of data in one
-// 240-B buffer plus a 32-B page header: at most 272 B and 2 allocations.
+// A COW fault on a 19-column table costs its 228 B of data and the page's
+// flag word in one 240-B buffer: at most 240 B and 1 allocation.
 // MemStats counts the whole process, and the runtime now and then
 // allocates a few bytes of its own while the faults run, so the test keeps
 // the least of three measurements: a stray allocation only ever adds.
@@ -254,8 +255,8 @@ func TestCOWFaultCost(t *testing.T) {
 	}
 	perB, perAlloc := float64(bytes)/faults, float64(mallocs)/faults
 	t.Logf("%.1f B and %.3f allocations per COW fault", perB, perAlloc)
-	if perB > 272 || perAlloc > 2 {
-		t.Fatalf("a COW fault costs %.1f B in %.3f allocations, want at most 272 B in 2", perB, perAlloc)
+	if perB > 240 || perAlloc > 1 {
+		t.Fatalf("a COW fault costs %.1f B in %.3f allocations, want at most 240 B in 1", perB, perAlloc)
 	}
 }
 
@@ -267,4 +268,23 @@ func BenchmarkCOWFault(b *testing.B) {
 	b.ReportMetric(float64(elapsed.Nanoseconds())/n, "ns/fault")
 	b.ReportMetric(float64(bytes)/n, "B/fault")
 	b.ReportMetric(float64(mallocs)/n, "allocs/fault")
+}
+
+// A visit count the int32 lane cannot hold must panic in FromFlat rather
+// than wrap; math.MaxInt32 itself fits.
+func TestFromFlatRejectsVisitCountPastInt32(t *testing.T) {
+	q := []float64{1, 2}
+	if tab := FromFlat(1, 2, q, []int{math.MaxInt32, 0}); tab.VRow(0)[0] != math.MaxInt32 {
+		t.Fatalf("FromFlat stored MaxInt32 as %d", tab.VRow(0)[0])
+	}
+	for _, bad := range []int{math.MaxInt32 + 1, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FromFlat accepted visit count %d", bad)
+				}
+			}()
+			FromFlat(1, 2, q, []int{0, bad})
+		}()
+	}
 }

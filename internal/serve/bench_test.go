@@ -105,6 +105,46 @@ func BenchmarkServeDecideThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(ids)), "batch")
 }
 
+// binaryBench serves the given number of RTM sessions on a binary TCP
+// listener and returns their ids, one client connected to it, a full
+// batch of steady observations with room for its decisions, and a stop
+// func.
+func binaryBench(b *testing.B, sessions int) ([]string, *client.Client, []governor.Observation, []client.Decision, func()) {
+	srv, _, ids, stop := benchServer(b, sessions)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tcpSrv := serve.NewTCP(srv, lis)
+	go func() { _ = tcpSrv.Serve() }()
+	cl, err := client.Dial(lis.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	obs := make([]governor.Observation, sessions)
+	for i := range obs {
+		obs[i] = steadyObs()
+	}
+	return ids, cl, obs, make([]client.Decision, sessions), func() {
+		cl.Close()
+		tcpSrv.Close()
+		stop()
+	}
+}
+
+// decideChecked sends one batch and fails on a transport or per-entry
+// error.
+func decideChecked(b *testing.B, cl *client.Client, ids []string, obs []governor.Observation, out []client.Decision) {
+	if err := cl.DecideBatch(ids, obs, out); err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range out {
+		if d.Err != "" {
+			b.Fatal(d.Err)
+		}
+	}
+}
+
 // BenchmarkBinaryDecideThroughput measures the transport fast path end
 // to end — persistent TCP, binary frames, connection-level batching,
 // governor decision — as batched decisions/second over 256 concurrent
@@ -113,39 +153,9 @@ func BenchmarkServeDecideThroughput(b *testing.B) {
 // number.
 func BenchmarkBinaryDecideThroughput(b *testing.B) {
 	const sessions = 256
-	srv, _, ids, stop := benchServer(b, sessions)
+	ids, cl, obs, out, stop := binaryBench(b, sessions)
 	defer stop()
-
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tcpSrv := serve.NewTCP(srv, lis)
-	go func() { _ = tcpSrv.Serve() }()
-	defer tcpSrv.Close()
-
-	cl, err := client.Dial(lis.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-
-	obs := make([]governor.Observation, sessions)
-	out := make([]client.Decision, sessions)
-	for i := range obs {
-		obs[i] = steadyObs()
-	}
-	check := func() {
-		if err := cl.DecideBatch(ids, obs, out); err != nil {
-			b.Fatal(err)
-		}
-		for _, d := range out {
-			if d.Err != "" {
-				b.Fatal(d.Err)
-			}
-		}
-	}
-	check() // warm the path (and the connection) before timing
+	decideChecked(b, cl, ids, obs, out) // warm the path (and the connection) before timing
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := cl.DecideBatch(ids, obs, out); err != nil {
@@ -153,10 +163,31 @@ func BenchmarkBinaryDecideThroughput(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	check() // errors would have surfaced per entry; spot-check once more
+	decideChecked(b, cl, ids, obs, out) // errors would have surfaced per entry; spot-check once more
 	total := float64(sessions) * float64(b.N)
 	b.ReportMetric(total/b.Elapsed().Seconds(), "decisions/s")
 	b.ReportMetric(float64(sessions), "batch")
+}
+
+// BenchmarkBinaryRoundTrip measures the latency of one binary decide
+// round trip: one client, one DecideBatch of 1 or 16 sessions per op, so
+// ns/op is the time from encoding the batch to holding every decision.
+// Nothing else is in flight, so the figure is the serving path's own
+// latency — read, dispatch, decide, write — with no queueing behind other
+// batches. Run it at -cpu 1 and -cpu 2: the goroutine hand-offs on the
+// path cost differently with one P and with two.
+func BenchmarkBinaryRoundTrip(b *testing.B) {
+	for _, sessions := range []int{1, 16} {
+		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
+			ids, cl, obs, out, stop := binaryBench(b, sessions)
+			defer stop()
+			decideChecked(b, cl, ids, obs, out)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decideChecked(b, cl, ids, obs, out)
+			}
+		})
+	}
 }
 
 // BenchmarkCheckpointSweep measures one all-dirty checkpoint sweep of

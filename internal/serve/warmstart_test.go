@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"qgov/internal/registry"
@@ -300,4 +301,62 @@ func TestRegistryCheckpointStoreSurvivesRestart(t *testing.T) {
 	if !jsonEqual(t, frozen, out.State) {
 		t.Error("warm-started session does not reproduce its registry checkpoint")
 	}
+}
+
+// A Q-table stores visit counts as int32, so a checkpoint whose count is
+// above math.MaxInt32 would wrap negative on restore and turn the
+// learning rate negative. A create body carrying such a state inline must
+// answer 400 and leave no session behind, for the rtm family and mldtm.
+func TestCreateRejectsVisitCountAboveInt32(t *testing.T) {
+	for _, gov := range []string{"rtm", "mldtm"} {
+		t.Run(gov, func(t *testing.T) {
+			h := newTestServer(t, serve.Options{})
+			const frames = 40
+			tr := workload.MPEG4At30(5, frames)
+			create := map[string]any{"id": "src", "governor": gov, "workload": "mpeg4-30fps", "period_s": tr.RefTimeS, "seed": 5}
+			if gov == "rtm" {
+				create["calibration_cc"] = tr.MaxPerFrame()
+			}
+			if st := h.post("/v1/sessions", create, nil); st != http.StatusCreated {
+				t.Fatalf("create returned %d", st)
+			}
+			h.driveOne("src", sim.NewSession(scenarioConfig(t, gov+"/mpeg4-30fps/a15", 5, frames)))
+			var frozen struct {
+				State json.RawMessage `json:"state"`
+			}
+			if st := h.post("/v1/sessions/src/checkpoint", map[string]any{}, &frozen); st != http.StatusOK {
+				t.Fatalf("checkpoint returned %d", st)
+			}
+			state := withFirstVisitCount(t, frozen.State, "2147483648")
+			if st := h.post("/v1/sessions", map[string]any{"id": "wrapped", "governor": gov, "seed": 5, "state": state}, nil); st != http.StatusBadRequest {
+				t.Fatalf("create with a visit count of 2^31 returned %d, want 400", st)
+			}
+			if st := h.get("/v1/sessions/wrapped", nil); st != http.StatusNotFound {
+				t.Fatalf("rejected session answers %d, want 404", st)
+			}
+			var health struct {
+				Sessions int `json:"sessions"`
+			}
+			if st := h.get("/healthz", &health); st != http.StatusOK || health.Sessions != 1 {
+				t.Fatalf("healthz answered %d with %d live sessions after the rejected create, want 200 with 1", st, health.Sessions)
+			}
+			// The count itself is fine: MaxInt32 loads.
+			state = withFirstVisitCount(t, frozen.State, "2147483647")
+			if st := h.post("/v1/sessions", map[string]any{"id": "max", "governor": gov, "seed": 5, "state": state}, nil); st != http.StatusCreated {
+				t.Fatalf("create with a visit count of 2^31-1 returned %d, want 201", st)
+			}
+		})
+	}
+}
+
+// withFirstVisitCount returns a checkpoint whose first visit count (the
+// rtm family's first table's, or mldtm's) is spelled count.
+func withFirstVisitCount(t *testing.T, state json.RawMessage, count string) json.RawMessage {
+	t.Helper()
+	loc := regexp.MustCompile(`"visits":\[(\d+)`).FindSubmatchIndex(state)
+	if loc == nil {
+		t.Fatalf("checkpoint has no visit counts: %s", state)
+	}
+	out := append(json.RawMessage{}, state[:loc[2]]...)
+	return append(append(out, count...), state[loc[3]:]...)
 }
